@@ -13,6 +13,13 @@ reshaped to [B, H, W, D_hidden]):
     Z'  = gated_residual(F, hybrid_pool(dual_pool(F)))
     out = unflatten(dropout(Z') @ up + b_up) + x
 
+S is only a selection key: the edge weights depend on rank alone, so the
+forward pass never holds S whole. It computes S one block of rows at a time
+(about ``_BLOCK_ELEMS`` entries, so O(rows * N) memory rather than O(N^2)),
+keeps each row's k largest entries found by a partition, and drops the block.
+Neighbors are ordered by descending similarity, ties by lowest index, which
+is exactly a stable sort of the full row.
+
 Discrete selections (top-k membership, the chosen neighbor count k, the
 floor inside adaptive_k, max-pool argmax) are treated as constants of the
 forward pass: they receive zero gradient.
@@ -21,8 +28,7 @@ forward pass: they receive zero gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +63,10 @@ __all__ = [
     "parameter_count",
     "init_dsga_params",
 ]
+
+# Similarity entries per row block of the streamed top-k graph (16 MB of
+# float64); the block holds max(2, _BLOCK_ELEMS // (B * N)) rows.
+_BLOCK_ELEMS = 2**21
 
 
 @dataclass
@@ -199,7 +209,6 @@ class SimilarityGraph:
     edge_weights: np.ndarray  # [B, N, k]
     self_weights: np.ndarray  # [B, N]
     k: int
-    raw_similarity: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def batch(self) -> int:
@@ -245,6 +254,13 @@ class SimilarityGraph:
         return out
 
 
+def _similarity(zh_rows: np.ndarray, zh: np.ndarray, scale: float) -> np.ndarray:
+    """tanh(scale * <zh_i, zh_j>) for the given rows i against every row j."""
+    s = matmul(zh_rows, zh.transpose(0, 2, 1))
+    s *= scale
+    return np.tanh(s, out=s)
+
+
 def similarity_matrix(z: np.ndarray) -> np.ndarray:
     """Temperature-controlled cosine similarity: tanh(<z_i, z_j> / sqrt(D_hidden))
     on row-wise L2-normalized features. Symmetric, entries in (-1, 1)."""
@@ -252,56 +268,90 @@ def similarity_matrix(z: np.ndarray) -> np.ndarray:
     if z.ndim != 3:
         raise ValueError(f"expected [B, N, D_hidden], got shape {z.shape}")
     zh = l2_normalize(z, axis=-1)
-    scale = 1.0 / math.sqrt(z.shape[-1])
-    return np.tanh(matmul(zh, zh.transpose(0, 2, 1)) * scale)
+    return _similarity(zh, zh, 1.0 / math.sqrt(z.shape[-1]))
 
 
-def build_graph(
-    s: np.ndarray,
-    k: int,
-    weights: np.ndarray,
-    keep_similarity: bool = False,
-) -> SimilarityGraph:
+def _clamp_k(k: int, n: int, weights: np.ndarray) -> int:
+    k_eff = max(0, min(int(k), n - 1))
+    if k_eff > weights.size:
+        raise ValueError(f"k={k_eff} exceeds available rank weights ({weights.size})")
+    return k_eff
+
+
+def _top_k_rows(key: np.ndarray, row0: int, k: int) -> np.ndarray:
+    """Neighbor indices [B, R, k] of the similarity rows row0..row0+R-1 held in
+    ``key`` (float64, overwritten): descending value, ties by lowest index,
+    the row's own node excluded. Non-finite similarities raise."""
+    check_finite(key, "similarity")
+    b, r, n = key.shape
+    if k == 0:
+        return np.zeros((b, r, 0), dtype=np.intp)
+    local = np.arange(r)
+    key[:, local, row0 + local] = -np.inf
+    kth = np.partition(key, n - k, axis=-1)[..., n - k, None]
+    keep = key >= kth
+    # rows with more than k entries at or above the k-th value keep the
+    # lowest-index entries of the tie at the k-th value
+    tied = np.count_nonzero(keep, axis=-1) > k
+    if tied.any():
+        sub, cut = key[tied], kth[tied]
+        above, at = sub > cut, sub == cut
+        need = k - np.count_nonzero(above, axis=-1, keepdims=True)
+        keep[tied] = above | (at & (np.cumsum(at, axis=-1) <= need))
+    cols = (np.flatnonzero(keep) % n).reshape(b, r, k)  # ascending index per row
+    vals = np.take_along_axis(key, cols, axis=-1)
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    return np.take_along_axis(cols, order, axis=-1)
+
+
+def _rank_graph(neighbors: np.ndarray, weights: np.ndarray) -> SimilarityGraph:
+    """Attach the row-normalized rank weights to [B, N, k] neighbor lists."""
+    b, n, k = neighbors.shape
+    used = weights[:k]
+    row_sum = 1.0 + float(used.sum())
+    return SimilarityGraph(
+        neighbors=neighbors,
+        edge_weights=np.broadcast_to(used / row_sum, (b, n, k)).copy(),
+        self_weights=np.full((b, n), 1.0 / row_sum),
+        k=k,
+    )
+
+
+def build_graph(s: np.ndarray, k: int, weights: np.ndarray) -> SimilarityGraph:
     """Top-k neighborhood selection plus rank-weighted, row-normalized adjacency.
 
-    Self-connections carry pre-normalization weight 1 and never compete in
-    the top-k. k is clamped to N - 1 when fewer candidates exist (N = 1
-    yields the pure self-loop graph).
+    Each row keeps its k largest similarities, found by a partition and
+    ordered by descending value with ties broken by lowest index (the order
+    of a stable sort). Self-connections carry pre-normalization weight 1 and
+    never compete in the top-k. k is clamped to N - 1 when fewer candidates
+    exist (N = 1 yields the pure self-loop graph). Non-finite similarities
+    raise NumericalError. The forward pass runs the same selection over
+    blocks of rows of S without building it; here one block covers all rows.
     """
     s = np.asarray(s)
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise ValueError(f"expected square [B, N, N] similarities, got {s.shape}")
     weights = np.asarray(weights, dtype=np.float64)
-    b, n, _ = s.shape
-    k_eff = min(int(k), n - 1)
-    if k_eff < 0:
-        k_eff = 0
-    if k_eff > weights.size:
-        raise ValueError(f"k={k_eff} exceeds available rank weights ({weights.size})")
+    k_eff = _clamp_k(k, s.shape[1], weights)
+    return _rank_graph(_top_k_rows(s.astype(np.float64), 0, k_eff), weights)
 
-    if k_eff == 0:
-        neighbors = np.zeros((b, n, 0), dtype=np.intp)
-        edge_weights = np.zeros((b, n, 0))
-        self_weights = np.ones((b, n))
-    else:
-        masked = s.astype(np.float64, copy=True)
-        diag = np.arange(n)
-        masked[:, diag, diag] = -np.inf
-        # stable sort on the negated scores: descending similarity, ties by lowest index
-        order = np.argsort(-masked, axis=-1, kind="stable")
-        neighbors = order[:, :, :k_eff]
-        used = weights[:k_eff]
-        row_sum = 1.0 + float(used.sum())
-        edge_weights = np.broadcast_to(used / row_sum, (b, n, k_eff)).copy()
-        self_weights = np.full((b, n), 1.0 / row_sum)
 
-    return SimilarityGraph(
-        neighbors=neighbors,
-        edge_weights=edge_weights,
-        self_weights=self_weights,
-        k=k_eff,
-        raw_similarity=s.copy() if keep_similarity else None,
-    )
+def _streamed_graph(z: np.ndarray, k: int, weights: np.ndarray) -> SimilarityGraph:
+    """build_graph(similarity_matrix(z), k, weights) without the N x N matrix:
+    similarities are computed and selected one block of rows at a time."""
+    b, n, dh = z.shape
+    k_eff = _clamp_k(k, n, weights)
+    zh = l2_normalize(z, axis=-1)
+    scale = 1.0 / math.sqrt(dh)
+    neighbors = np.empty((b, n, k_eff), dtype=np.intp)
+    rows = max(2, _BLOCK_ELEMS // max(b * n, 1))
+    for r0 in range(0, max(n - 1, 1), rows):
+        # a lone last row joins this block: a one-row product takes another
+        # BLAS path (gemv) whose rounding can differ from the full matrix's
+        r1 = r0 + rows if r0 + rows < n - 1 else n
+        key = _similarity(zh[:, r0:r1], zh, scale).astype(np.float64, copy=False)
+        neighbors[:, r0:r1] = _top_k_rows(key, r0, k_eff)
+    return _rank_graph(neighbors, weights)
 
 
 def propagate(graph: SimilarityGraph, z: np.ndarray) -> np.ndarray:
@@ -409,7 +459,7 @@ def dropout_mask(n: int, prob: float, seed: int, stream: int = 0) -> np.ndarray:
     return np.where(u >= prob, 1.0 / (1.0 - prob), 0.0)
 
 
-def _forward_trace(x, params: DsgaParams, cfg: DsgaConfig, keep_similarity=False):
+def _forward_trace(x, params: DsgaParams, cfg: DsgaConfig):
     x = np.asarray(x)
     if x.ndim != 4:
         raise ValueError(f"expected [B, H, W, D], got shape {x.shape}")
@@ -423,10 +473,9 @@ def _forward_trace(x, params: DsgaParams, cfg: DsgaConfig, keep_similarity=False
     xf = x.reshape(b, n, d)
     t["pre"] = check_finite(matmul(xf, params.down_w) + params.down_b, "down-projection")
     t["z"] = gelu(t["pre"])
-    t["s"] = check_finite(similarity_matrix(t["z"]), "similarity")
     k = adaptive_k(params.theta_k, cfg.k_max)
     t["w_rank"] = rank_weights(params.rank_logits)
-    t["graph"] = build_graph(t["s"], k, t["w_rank"], keep_similarity=keep_similarity)
+    t["graph"] = _streamed_graph(t["z"], k, t["w_rank"])
     t["g"] = propagate(t["graph"], t["z"])
     t["f"] = check_finite(matmul(t["g"], params.fusion_w), "fusion")
     fr = t["f"].reshape(b, h, w, cfg.d_hidden)
@@ -449,13 +498,13 @@ def _forward_trace(x, params: DsgaParams, cfg: DsgaConfig, keep_similarity=False
     return t
 
 
-def dsga_forward(x, params: DsgaParams, cfg: DsgaConfig, keep_similarity=False):
+def dsga_forward(x, params: DsgaParams, cfg: DsgaConfig):
     """Residual adapter forward pass; returns (output, similarity graph).
 
     Output shape equals input shape; with a zero up-projection the map is
     the identity bit-for-bit in eval mode.
     """
-    t = _forward_trace(x, params, cfg, keep_similarity=keep_similarity)
+    t = _forward_trace(x, params, cfg)
     return t["out"], t["graph"]
 
 

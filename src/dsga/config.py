@@ -111,6 +111,26 @@ class PipelineConfig:
         )
 
 
+def _typed(name: str, value, default):
+    """Return ``value`` if its JSON type matches the default's: a bool for a
+    bool, an int (not a bool) for an int, an int or float for a float, a
+    string for a string. Other defaults are checked by their dataclass."""
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "a bool"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an int"
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        kind = "a number"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    else:
+        return value
+    if not ok:
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 def _merge(section: str, data: dict, defaults, cls):
     if not isinstance(data, dict):
         raise ValidationError(f"section {section!r} must be an object")
@@ -118,7 +138,11 @@ def _merge(section: str, data: dict, defaults, cls):
     extra = set(data) - set(fields)
     if extra:
         raise ValidationError(f"unknown keys in section {section!r}: {sorted(extra)}")
-    fields.update(data)
+    for key, value in data.items():
+        # a field declared with default None (lora.alpha) also takes null
+        if value is not None or cls.__dataclass_fields__[key].default is not None:
+            value = _typed(f"{section}.{key}", value, fields[key])
+        fields[key] = value
     if "targets" in fields and isinstance(fields["targets"], list):
         fields["targets"] = tuple(fields["targets"])
     return cls(**fields)
@@ -131,17 +155,20 @@ def _parse_loss(data: dict):
     weights = data.pop("weights", [1.0, 1.0, 1.0])
     if not (isinstance(weights, (list, tuple)) and len(weights) == 3):
         raise ValidationError(f"loss.weights must be a 3-element list, got {weights!r}")
+    lams = [float(_typed("loss.weights", w, 1.0)) for w in weights]
+
+    def take(key, default):
+        return _typed(f"loss.{key}", data.pop(key, default), default)
+
     lw = LossWeights(
-        lam1=float(weights[0]),
-        lam2=float(weights[1]),
-        lam3=float(weights[2]),
-        ema_beta=float(data.pop("ema_beta", 0.9)),
-        ema_enabled=bool(data.pop("ema_enabled", False)),
+        *lams,
+        ema_beta=float(take("ema_beta", 0.9)),
+        ema_enabled=take("ema_enabled", False),
     )
     hyper = LossHyper(
-        focal_gamma=float(data.pop("focal_gamma", 2.0)),
-        focal_alpha=float(data.pop("focal_alpha", 0.25)),
-        dice_smooth=float(data.pop("dice_smooth", 1.0)),
+        focal_gamma=float(take("focal_gamma", 2.0)),
+        focal_alpha=float(take("focal_alpha", 0.25)),
+        dice_smooth=float(take("dice_smooth", 1.0)),
     )
     if data:
         raise ValidationError(f"unknown keys in section 'loss': {sorted(data)}")

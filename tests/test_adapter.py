@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dsga import adapter
 from dsga.adapter import (
     DsgaConfig,
     adaptive_k,
@@ -21,7 +23,7 @@ from dsga.adapter import (
     rank_weights,
     similarity_matrix,
 )
-from dsga.numerics import finite_diff_grad
+from dsga.numerics import NumericalError, finite_diff_grad
 from dsga.pipeline import max_hybrid_error
 
 
@@ -141,6 +143,174 @@ class TestBuildGraph:
         for i in range(16):
             vals = s[0, i, g.neighbors[0, i]]
             assert np.all(np.diff(vals) < 0)  # continuous values: no ties
+
+
+def argsort_neighbors(s, k):
+    """Reference top-k selection: a stable argsort of every full row of the
+    float64 similarities with the self entry masked (descending value, ties
+    by lowest index). It is the selection build_graph used before the
+    partition kernel, kept here as the oracle."""
+    n = s.shape[1]
+    k = max(0, min(int(k), n - 1))
+    masked = np.asarray(s).astype(np.float64, copy=True)
+    diag = np.arange(n)
+    masked[:, diag, diag] = -np.inf
+    return np.argsort(-masked, axis=-1, kind="stable")[:, :, :k]
+
+
+def tied_tokens(rng, b, n, dh):
+    """Gaussian features where about a third of the tokens copy another token
+    and a few are zero, so many similarities tie exactly."""
+    z = rng.standard_normal((b, n, dh))
+    for bi in range(b):
+        dst = rng.choice(n, size=n // 3, replace=False)
+        z[bi, dst] = z[bi, rng.integers(0, n, size=dst.size)]
+        z[bi, rng.choice(n, size=n // 10, replace=False)] = 0.0
+    return z
+
+
+DEFAULT_BLOCK_ELEMS = adapter._BLOCK_ELEMS
+
+
+def set_block_rows(monkeypatch, rows, b, n):
+    """Set the streamed graph's element budget to ``rows`` rows per block
+    (None restores the module default)."""
+    budget = DEFAULT_BLOCK_ELEMS if rows is None else rows * b * n
+    monkeypatch.setattr(adapter, "_BLOCK_ELEMS", budget)
+
+
+def record_blocks(monkeypatch):
+    """Copies of the similarity row blocks the streamed graph computes, in order."""
+    blocks = []
+    similarity = adapter._similarity
+
+    def recording(zh_rows, zh, scale):
+        s = similarity(zh_rows, zh, scale)
+        blocks.append(s.copy())
+        return s
+
+    monkeypatch.setattr(adapter, "_similarity", recording)
+    return blocks
+
+
+def streamed_vs_argsort(monkeypatch, z, k, weights, rows=None):
+    """Run the streamed graph and check it against the argsort oracle on the
+    similarity blocks it computed; returns (graph, blocked similarity)."""
+    b, n, _ = z.shape
+    set_block_rows(monkeypatch, rows, b, n)
+    rows = max(2, adapter._BLOCK_ELEMS // (b * n))
+    blocks = record_blocks(monkeypatch)
+    g = adapter._streamed_graph(z, k, weights)
+    # blocks tile the rows in order; a lone last row joins the block before it
+    sizes = [blk.shape[1] for blk in blocks]
+    assert sum(sizes) == n and all(size == rows for size in sizes[:-1])
+    assert n == 1 or 2 <= sizes[-1] <= rows + 1
+    s = np.concatenate(blocks, axis=1)
+    assert np.allclose(s, similarity_matrix(z), rtol=0, atol=1e-12)
+    assert np.array_equal(g.neighbors, argsort_neighbors(s, k))
+    return g, s
+
+
+class TestTopKOracle:
+    def test_build_graph_matches_argsort_on_ties(self):
+        rng = np.random.default_rng(60)
+        for _ in range(60):
+            b, n = int(rng.integers(1, 3)), int(rng.integers(1, 40))
+            k = int(rng.integers(0, n + 3))
+            if rng.random() < 0.5:
+                s = similarity_matrix(tied_tokens(rng, b, n, 4))
+            else:  # coarse levels: most of each row ties
+                s = rng.integers(-3, 4, size=(b, n, n)) / 4.0
+            g = build_graph(s, k, np.ones(max(k, 1)))
+            assert np.array_equal(g.neighbors, argsort_neighbors(s, k))
+
+    @pytest.mark.parametrize("rows", [2, 3, 5, 7])
+    def test_streamed_matches_argsort_across_blocks(self, rows, monkeypatch):
+        rng = np.random.default_rng(61 + rows)
+        for _ in range(25):
+            b, n = int(rng.integers(1, 3)), int(rng.integers(1, 30))
+            k = int(rng.integers(0, n + 2))
+            streamed_vs_argsort(monkeypatch, tied_tokens(rng, b, n, 3), k, np.ones(max(k, 1)), rows)
+
+    def test_streamed_edge_cases(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        w = rank_weights(init_rank_weights(8, 2.0))
+        # N = 1 (k -> 0), k >= N - 1, N % rows == 1, N below one default block
+        for b, n, k, rows in [(1, 1, 3, 2), (2, 1, 1, 5), (2, 6, 8, 4), (1, 9, 8, 3),
+                              (1, 10, 4, 3), (2, 17, 5, 4), (2, 13, 3, None)]:
+            z = tied_tokens(rng, b, n, 3)
+            g, s = streamed_vs_argsort(monkeypatch, z, k, w, rows)
+            ref = build_graph(s, k, w)
+            assert g.k == ref.k == min(k, n - 1)
+            assert np.array_equal(g.edge_weights, ref.edge_weights)
+            assert np.array_equal(g.self_weights, ref.self_weights)
+            if rows is None:  # one block is the full product, as in similarity_matrix
+                assert np.array_equal(s, similarity_matrix(z))
+
+    def test_streamed_default_budget_two_blocks(self, monkeypatch):
+        # N = 1500 exceeds one default block of 2**21 // 1500 = 1398 rows
+        rng = np.random.default_rng(63)
+        streamed_vs_argsort(monkeypatch, tied_tokens(rng, 1, 1500, 6), 6, np.ones(6))
+
+    def test_forward_bytes_unchanged_on_tied_field(self, monkeypatch):
+        cfg = DsgaConfig(embed_dim=32, k_max=8, dropout_prob=0.0, mode="eval", seed=64)
+        params = init_dsga_params(cfg)
+        rng = np.random.default_rng(64)
+        x = rng.standard_normal((1, 16, 16, 32)).astype(np.float32)
+        x[0, 3:9, 5:12] = x[0, 3, 5]  # a flat rectangle of identical tokens
+        x[0, 12:, :4] = x[0, 0, 0]
+        out, graph = dsga_forward(x, params, cfg)
+
+        def argsort_graph(z, k, weights):
+            s = similarity_matrix(z)
+            g = build_graph(s, k, weights)
+            g.neighbors = argsort_neighbors(s, k)
+            return g
+
+        monkeypatch.setattr(adapter, "_streamed_graph", argsort_graph)
+        ref_out, ref_graph = dsga_forward(x, params, cfg)
+        assert np.array_equal(graph.neighbors, ref_graph.neighbors)
+        assert out.tobytes() == ref_out.tobytes()
+
+    def test_non_finite_similarity_raises(self, monkeypatch):
+        cfg = DsgaConfig(embed_dim=8, k_max=3, dropout_prob=0.0, mode="eval", seed=65)
+        params = init_dsga_params(cfg)
+        x = np.random.default_rng(65).standard_normal((1, 3, 3, 8))
+
+        def nan_gelu(pre):
+            z = np.array(pre, dtype=np.float64)
+            z[0, 4, 1] = np.nan
+            return z
+
+        monkeypatch.setattr(adapter, "gelu", nan_gelu)
+        set_block_rows(monkeypatch, 2, 1, 9)
+        with pytest.raises(NumericalError, match="similarity"):
+            dsga_forward(x, params, cfg)
+        s = np.zeros((1, 3, 3))
+        s[0, 2, 0] = np.nan
+        with pytest.raises(NumericalError, match="similarity"):
+            build_graph(s, 1, np.ones(1))
+
+    def test_no_n_by_n_buffer_in_forward_or_vjp(self, monkeypatch):
+        cfg = DsgaConfig(embed_dim=8, k_max=4, dropout_prob=0.0, mode="eval", seed=66)
+        params = init_dsga_params(cfg, precision="double")
+        rng = np.random.default_rng(66)
+        x = rng.standard_normal((1, 48, 48, 8))
+        n = 48 * 48
+        set_block_rows(monkeypatch, 16, 1, n)
+        tracemalloc.start()
+        try:
+            for call in (
+                lambda: dsga_forward(x, params, cfg),
+                lambda: dsga_vjp(x, params, cfg, np.ones_like(x)),
+            ):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert peak < n * n  # an N x N float64 array is 8 * n * n bytes
+        finally:
+            tracemalloc.stop()
 
 
 class TestPropagate:
@@ -399,17 +569,6 @@ class TestDsgaForward:
         params = init_dsga_params(cfg)
         with pytest.raises(ValueError, match="embed_dim"):
             dsga_forward(np.zeros((1, 2, 2, 4)), params, cfg)
-
-    def test_raw_similarity_retained_only_on_request(self):
-        cfg = DsgaConfig(embed_dim=8, k_max=3, dropout_prob=0.0, mode="eval", seed=6)
-        params = init_dsga_params(cfg)
-        rng = np.random.default_rng(30)
-        x = rng.standard_normal((1, 2, 2, 8))
-        _, lean = dsga_forward(x, params, cfg)
-        assert lean.raw_similarity is None
-        _, debug = dsga_forward(x, params, cfg, keep_similarity=True)
-        assert debug.raw_similarity is not None
-        assert debug.raw_similarity.shape == (1, 4, 4)
 
 
 class TestDropoutMask:

@@ -53,6 +53,32 @@ class TestConfig:
         with pytest.raises(ValidationError):
             PipelineConfig.from_dict({"dsga": {"reduction_ratio": 0.0}})
 
+    @pytest.mark.parametrize("data", [
+        {"loss": {"ema_enabled": "false"}},
+        {"loss": {"ema_enabled": 0}},
+        {"loss": {"ema_beta": "0.5"}},
+        {"loss": {"weights": [1.0, True, 1.0]}},
+        {"dsga": {"k_max": 2.5}},
+        {"dsga": {"k_max": True}},
+        {"dsga": {"embed_dim": "768"}},
+        {"dsga": {"reduction_ratio": False}},
+        {"dsga": {"mode": 1}},
+        {"prompt": {"grid_size": True}},
+        {"lora": {"rank": 8.0}},
+        {"backbone": {"layers": "12"}},
+    ])
+    def test_wrong_value_type_rejected(self, data):
+        with pytest.raises(ValidationError, match="must be an? (bool|int|number|string)"):
+            PipelineConfig.from_dict(data)
+
+    def test_ints_accepted_for_floats(self):
+        cfg = PipelineConfig.from_dict(
+            {"dsga": {"reduction_ratio": 1}, "loss": {"ema_beta": 0, "ema_enabled": True}}
+        )
+        assert cfg.dsga.reduction_ratio == 1
+        assert cfg.loss_weights.ema_beta == 0.0 and cfg.loss_weights.ema_enabled is True
+        assert PipelineConfig.from_dict({"lora": {"alpha": None}}).lora.alpha == 8.0
+
 
 class TestAudit:
     def test_vit_base_defaults(self):
@@ -353,6 +379,9 @@ class TestCli:
         # 1: validation error in config
         bad_cfg = tmp_path / "bad.json"
         bad_cfg.write_text('{"bogus": 1}')
+        assert main(["audit", "params", "--config", str(bad_cfg)]) == 1
+        # 1: a mistyped value is a validation error, not a traceback
+        bad_cfg.write_text('{"backbone": {"layers": "12"}}')
         assert main(["audit", "params", "--config", str(bad_cfg)]) == 1
         # 1: argparse usage error routed through the validation path
         assert main(["lora", "apply"]) == 1
