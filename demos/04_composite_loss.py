@@ -59,7 +59,7 @@ print(f"gradient pushes probabilities up inside the object: "
 # moving average, and the applied weights are rescaled to sum 3
 print("\nEMA replay on a synthetic three-component trace:")
 state = ContributionState()
-w = LossWeights(ema_beta=0.9, ema_enabled=True)
+w = LossWeights(ema_beta=0.9)
 trace = [(0.6 * 0.97**t, 0.25, 5.0 + 0.5 * np.sin(t / 3.0)) for t in range(40)]
 for t, comps in enumerate(trace):
     c, state = contributions_from_components(comps, state)

@@ -63,7 +63,6 @@ from .metrics import (
     threshold_sweep,
 )
 from .numerics import (
-    Dual,
     NumericalError,
     finite_diff_grad,
     gelu,
@@ -71,8 +70,6 @@ from .numerics import (
     matmul,
     sigmoid,
     softmax,
-    tanh,
-    tensor,
 )
 from .pipeline import (
     AuditReport,
@@ -90,6 +87,7 @@ from .prompts import (
     generate_prompts,
     grid_saliency,
     mask_iou,
+    pairwise_iou,
 )
 
 __version__ = "0.1.0"

@@ -466,6 +466,8 @@ def _forward_trace(x, params: DsgaParams, cfg: DsgaConfig):
     b, h, w, d = x.shape
     if d != cfg.embed_dim:
         raise ValueError(f"input channel dim {d} != configured embed_dim {cfg.embed_dim}")
+    if h == 0 or w == 0:
+        raise ValueError(f"empty token grid: H = {h}, W = {w}")
     n = h * w
     check_finite(x, "input")
 

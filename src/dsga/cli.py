@@ -4,16 +4,14 @@ Subcommands: ``forward`` (adapter forward pass on TNS1 tensors), ``lora
 apply``, ``prompts generate``, ``instances dedup``, ``loss eval``, ``loss
 ema-sim``, ``metrics saliency``, ``metrics instances``, ``audit params``,
 ``gradcheck``, ``demo``. Exit codes: 0 success, 1 validation error, 2 I/O
-error, 3 numerical failure. ``DSGA_THREADS`` caps the per-image worker pool.
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +37,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
-
-
-def _worker_count(n_items: int) -> int:
-    env = os.environ.get("DSGA_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    if cap < 1:
-        raise ValidationError(f"DSGA_THREADS must be >= 1, got {cap}")
-    return max(1, min(cap, n_items))
 
 
 def _emit(obj, out_path: str | None) -> None:
@@ -93,13 +83,7 @@ def cmd_prompts_generate(args) -> int:
         n_min=args.nmin,
         n_max=args.nmax,
     )
-    prompts = generate_prompts(mask, cfg)
-    with open(args.out, "w") as fh:
-        for p in prompts:
-            fh.write(
-                '{"x":%d,"y":%d,"confidence":%.6f,"cell":[%d,%d]}\n'
-                % (p.x, p.y, p.confidence, p.source_cell[0], p.source_cell[1])
-            )
+    fileio.write_prompts_jsonl(args.out, generate_prompts(mask, cfg))
     return EXIT_OK
 
 
@@ -135,7 +119,7 @@ def cmd_loss_eval(args) -> int:
 
 
 def cmd_loss_ema_sim(args) -> int:
-    weights = LossWeights(ema_beta=args.beta, ema_enabled=True)
+    weights = LossWeights(ema_beta=args.beta)
     state = ContributionState()
     rows = []
     with open(args.trace) as fh:
@@ -168,9 +152,19 @@ def cmd_loss_ema_sim(args) -> int:
     return EXIT_OK
 
 
+def _files_by_stem(directory: Path) -> dict:
+    files = {}
+    for path in filter(Path.is_file, sorted(directory.iterdir())):
+        if path.stem in files:
+            other = files[path.stem].name
+            raise ValidationError(f"{directory}: stem {path.stem!r} names {other} and {path.name}")
+        files[path.stem] = path
+    return files
+
+
 def _pair_files(pred_dir: Path, gt_dir: Path):
-    preds = {p.stem: p for p in sorted(pred_dir.iterdir()) if p.is_file()}
-    gts = {p.stem: p for p in sorted(gt_dir.iterdir()) if p.is_file()}
+    preds = _files_by_stem(pred_dir)
+    gts = _files_by_stem(gt_dir)
     common = sorted(set(preds) & set(gts))
     if not common:
         raise ValidationError(f"no common file stems between {pred_dir} and {gt_dir}")
@@ -178,22 +172,15 @@ def _pair_files(pred_dir: Path, gt_dir: Path):
 
 
 def cmd_metrics_saliency(args) -> int:
-    pairs = _pair_files(Path(args.pred_dir), Path(args.gt_dir))
-
-    def one(item):
-        stem, pred_path, gt_path = item
-        report = evaluate_saliency(fileio.read_saliency(pred_path), fileio.read_mask(gt_path))
-        return stem, report.as_dict()
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(pairs))) as pool:
-        rows = list(pool.map(one, pairs))
-
-    keys = list(rows[0][1])
-    means = {k: float(np.mean([r[k] for _, r in rows])) for k in keys}
-    _emit(
-        {"images": {stem: r for stem, r in rows}, "dataset_mean": means, "count": len(rows)},
-        args.out,
-    )
+    images = {
+        stem: evaluate_saliency(
+            fileio.read_saliency(pred_path), fileio.read_mask(gt_path)
+        ).as_dict()
+        for stem, pred_path, gt_path in _pair_files(Path(args.pred_dir), Path(args.gt_dir))
+    }
+    rows = list(images.values())
+    means = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}
+    _emit({"images": images, "dataset_mean": means, "count": len(rows)}, args.out)
     return EXIT_OK
 
 

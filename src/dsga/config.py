@@ -6,7 +6,7 @@ are the main reproducibility hazard this guards against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .adapter import DsgaConfig
 from .lora import LoraConfig
@@ -43,42 +43,16 @@ class PipelineConfig:
     backbone: BackboneProfile = field(default_factory=BackboneProfile)
 
     def to_dict(self) -> dict:
-        d = self.dsga
         return {
-            "dsga": {
-                "embed_dim": d.embed_dim,
-                "reduction_ratio": d.reduction_ratio,
-                "k_max": d.k_max,
-                "decay_exponent": d.decay_exponent,
-                "dropout_prob": d.dropout_prob,
-                "mode": d.mode,
-                "seed": d.seed,
-            },
-            "lora": {
-                "rank": self.lora.rank,
-                "targets": list(self.lora.targets),
-                "num_layers": self.lora.num_layers,
-                "alpha": self.lora.alpha,
-            },
-            "prompt": {
-                "grid_size": self.prompt.grid_size,
-                "saliency_threshold": self.prompt.saliency_threshold,
-                "n_min": self.prompt.n_min,
-                "n_max": self.prompt.n_max,
-            },
+            "dsga": asdict(self.dsga),
+            "lora": {**asdict(self.lora), "targets": list(self.lora.targets)},
+            "prompt": asdict(self.prompt),
             "loss": {
                 "weights": list(self.loss_weights.lams),
                 "ema_beta": self.loss_weights.ema_beta,
-                "ema_enabled": self.loss_weights.ema_enabled,
-                "focal_gamma": self.loss_hyper.focal_gamma,
-                "focal_alpha": self.loss_hyper.focal_alpha,
-                "dice_smooth": self.loss_hyper.dice_smooth,
+                **asdict(self.loss_hyper),
             },
-            "backbone": {
-                "layers": self.backbone.layers,
-                "embed_dim": self.backbone.embed_dim,
-                "params_frozen": self.backbone.params_frozen,
-            },
+            "backbone": asdict(self.backbone),
         }
 
     @classmethod
@@ -112,12 +86,10 @@ class PipelineConfig:
 
 
 def _typed(name: str, value, default):
-    """Return ``value`` if its JSON type matches the default's: a bool for a
-    bool, an int (not a bool) for an int, an int or float for a float, a
-    string for a string. Other defaults are checked by their dataclass."""
-    if isinstance(default, bool):
-        ok, kind = isinstance(value, bool), "a bool"
-    elif isinstance(default, int):
+    """Return ``value`` if its JSON type matches the default's: an int (not a
+    bool) for an int, an int or float for a float, a string for a string.
+    Other defaults are checked by their dataclass."""
+    if isinstance(default, int):
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an int"
     elif isinstance(default, float):
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -160,11 +132,7 @@ def _parse_loss(data: dict):
     def take(key, default):
         return _typed(f"loss.{key}", data.pop(key, default), default)
 
-    lw = LossWeights(
-        *lams,
-        ema_beta=float(take("ema_beta", 0.9)),
-        ema_enabled=take("ema_enabled", False),
-    )
+    lw = LossWeights(*lams, ema_beta=float(take("ema_beta", 0.9)))
     hyper = LossHyper(
         focal_gamma=float(take("focal_gamma", 2.0)),
         focal_alpha=float(take("focal_alpha", 0.25)),

@@ -32,6 +32,7 @@ __all__ = [
     "write_saliency_pgm",
     "write_json",
     "read_json",
+    "write_prompts_jsonl",
 ]
 
 _TNS_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
@@ -185,3 +186,13 @@ def read_json(path):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON") from exc
+
+
+def write_prompts_jsonl(path, prompts) -> None:
+    """One ``{"x","y","confidence","cell"}`` JSON line per point prompt."""
+    with open(path, "w") as fh:
+        for p in prompts:
+            fh.write(
+                '{"x":%d,"y":%d,"confidence":%.6f,"cell":[%d,%d]}\n'
+                % (p.x, p.y, p.confidence, p.source_cell[0], p.source_cell[1])
+            )

@@ -65,7 +65,6 @@ class LossWeights:
     lam2: float = 1.0  # dice
     lam3: float = 1.0  # boundary
     ema_beta: float = 0.9
-    ema_enabled: bool = False
 
     def __post_init__(self) -> None:
         lams = (self.lam1, self.lam2, self.lam3)

@@ -7,6 +7,9 @@ algorithms (object/region decomposition with a centroid quadrant split and
 per-region SSIM; mean-centered alignment maps with the degenerate
 all-foreground / all-background shortcuts). The enhanced-alignment score is
 averaged over W*H pixels so a perfect prediction scores exactly 1.
+
+P, R, F and E are functions of the confusion counts: one kernel maps counts
+to scores, and the 256-level sweep takes all its counts from one histogram.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prompts import ScoredInstance, mask_iou
+from .prompts import ScoredInstance, pairwise_iou
+from .prompts import mask_iou  # noqa: F401  (wrapped by perfbench/tracer.py; unused here)
 
 __all__ = [
     "MetricReport",
@@ -34,6 +38,7 @@ __all__ = [
 
 _EPS = np.spacing(1.0)
 NUM_THRESHOLDS = 256
+_THRESHOLDS = np.arange(NUM_THRESHOLDS) / 255.0
 
 
 def _as_binary(mask, name="mask") -> np.ndarray:
@@ -47,7 +52,7 @@ def _as_saliency(sal) -> np.ndarray:
     sal = np.asarray(sal, dtype=np.float64)
     if sal.ndim != 2:
         raise ValueError(f"saliency map must be 2-D, got shape {sal.shape}")
-    if sal.min() < 0.0 or sal.max() > 1.0:
+    if not (sal.min() >= 0.0 and sal.max() <= 1.0):  # NaN fails too
         raise ValueError("saliency values must lie in [0, 1]")
     return sal
 
@@ -57,17 +62,54 @@ def _check_dims(a, b):
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
+def _count_scores(tp, pp, ng: int, n: int, beta_sq: float = 0.3):
+    """Precision, recall, F and E arrays from per-binarization counts: ``tp``
+    true positives and ``pp`` predicted positives (int arrays), against a
+    ground truth with ``ng`` foreground pixels out of ``n``.
+
+    Empty-P precision is 1 if G is also empty, else 0; empty-G recall is 1.
+    Mean-centred, a binarization and the ground truth each take two values,
+    so the E sum is a count-weighted sum over the TP/FP/FN/TN pixel classes.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(pp == 0, 1.0 if ng == 0 else 0.0, tp / pp)
+        recall = np.ones(tp.shape) if ng == 0 else tp / ng
+        den = beta_sq * precision + recall
+        f = np.where(den == 0.0, 0.0, (1.0 + beta_sq) * precision * recall / den)
+    if ng == 0:
+        enhanced_sum = n - pp
+    elif ng == n:
+        enhanced_sum = pp
+    else:
+        enhanced_sum = 0.0
+        # (pixel count, pred value, gt value) of the TP, FP, FN and TN classes
+        fp, fn, tn = pp - tp, ng - tp, n - pp - ng + tp
+        for count, p_val, g_val in ((tp, 1.0, 1.0), (fp, 1.0, 0.0), (fn, 0.0, 1.0), (tn, 0.0, 0.0)):
+            a, g = p_val - pp / n, g_val - ng / n
+            align = 2.0 * a * g / (a * a + g * g + _EPS)
+            enhanced_sum = enhanced_sum + count * ((align + 1.0) ** 2 / 4.0)
+    return precision, recall, f, enhanced_sum / n
+
+
+def _binary_scores(pred: np.ndarray, gt: np.ndarray, beta_sq: float = 0.3):
+    """(P, R, F, E) of one binarization, through the sweep's kernel."""
+    tp = np.array([np.count_nonzero(pred & gt)])
+    pp = np.array([np.count_nonzero(pred)])
+    scores = _count_scores(tp, pp, int(np.count_nonzero(gt)), gt.size, beta_sq)
+    return tuple(float(v[0]) for v in scores)
+
+
+def _checked_scores(pred, gt, name: str):
+    pred = _as_binary(pred, name)
+    gt = _as_binary(gt, "gt")
+    _check_dims(pred, gt)
+    return _binary_scores(pred, gt)
+
+
 def precision_recall(pred, gt) -> tuple[float, float]:
     """|P&G|/|P| and |P&G|/|G|. Empty-P precision is 1 if G is also empty,
     else 0; empty-G recall is 1 (nothing was there to find)."""
-    pred = _as_binary(pred, "pred")
-    gt = _as_binary(gt, "gt")
-    _check_dims(pred, gt)
-    inter = int(np.logical_and(pred, gt).sum())
-    np_, ng = int(pred.sum()), int(gt.sum())
-    precision = (1.0 if ng == 0 else 0.0) if np_ == 0 else inter / np_
-    recall = 1.0 if ng == 0 else inter / ng
-    return precision, recall
+    return _checked_scores(pred, gt, "pred")[:2]
 
 
 def f_beta(precision: float, recall: float, beta_sq: float = 0.3) -> float:
@@ -88,22 +130,7 @@ def e_measure(binarized, gt) -> float:
     """Enhanced-alignment score: mean of ((2 a g / (a^2 + g^2)) + 1)^2 / 4 on
     mean-centered maps; all-foreground/all-background ground truth degenerates
     to the matching-pixel fraction."""
-    pred = _as_binary(binarized, "binarized")
-    gt = _as_binary(gt, "gt")
-    _check_dims(pred, gt)
-    n = gt.size
-    gt_fg = int(gt.sum())
-    pred_fg = int(pred.sum())
-    if gt_fg == 0:
-        enhanced_sum = n - pred_fg
-    elif gt_fg == n:
-        enhanced_sum = pred_fg
-    else:
-        a = pred.astype(np.float64) - pred_fg / n
-        g = gt.astype(np.float64) - gt_fg / n
-        align = 2.0 * a * g / (a * a + g * g + _EPS)
-        enhanced_sum = float(np.sum((align + 1.0) ** 2 / 4.0))
-    return float(enhanced_sum / n)
+    return _checked_scores(binarized, gt, "binarized")[3]
 
 
 def _object_score(values: np.ndarray) -> float:
@@ -176,19 +203,25 @@ def mae(sal, gt) -> float:
     return float(np.mean(np.abs(sal - gt.astype(np.float64))))
 
 
+def _counts_above(levels: np.ndarray) -> np.ndarray:
+    """Per threshold i, the number of pixels whose level exceeds i."""
+    hist = np.bincount(levels, minlength=NUM_THRESHOLDS + 1)
+    return np.cumsum(hist[::-1])[::-1][1:]
+
+
 def threshold_sweep(sal, gt, beta_sq: float = 0.3) -> np.ndarray:
     """Binarize at t = i/255 for i in 0..255 (strict >) and report
     (precision, recall, F, E) per threshold as a [256, 4] array."""
     sal = _as_saliency(sal)
     gt = _as_binary(gt, "gt")
     _check_dims(sal, gt)
-    curve = np.zeros((NUM_THRESHOLDS, 4), dtype=np.float64)
-    for i in range(NUM_THRESHOLDS):
-        t = i / 255.0
-        binarized = sal > t
-        p, r = precision_recall(binarized, gt)
-        curve[i] = (p, r, f_beta(p, r, beta_sq), e_measure(binarized, gt))
-    return curve
+    # a pixel's level is the number of thresholds strictly below it, so it
+    # is foreground at threshold i exactly when its level exceeds i
+    levels = np.searchsorted(_THRESHOLDS, sal.ravel())
+    pp = _counts_above(levels)
+    tp = _counts_above(levels[gt.ravel()])
+    scores = _count_scores(tp, pp, int(np.count_nonzero(gt)), gt.size, beta_sq)
+    return np.stack(scores, axis=1)
 
 
 @dataclass
@@ -229,17 +262,15 @@ def evaluate_saliency(sal, gt, alpha: float = 0.5, beta_sq: float = 0.3) -> Metr
     gt = _as_binary(gt, "gt")
     _check_dims(sal, gt)
     curve = threshold_sweep(sal, gt, beta_sq)
-    t_adp = adaptive_threshold(sal)
-    adp_bin = sal > t_adp
-    p_adp, r_adp = precision_recall(adp_bin, gt)
+    _, _, f_adp, e_adp = _binary_scores(sal > adaptive_threshold(sal), gt, beta_sq)
     return MetricReport(
         s_measure=s_measure(sal, gt, alpha),
         f_mean=float(curve[:, 2].mean()),
         f_max=float(curve[:, 2].max()),
-        f_adaptive=f_beta(p_adp, r_adp, beta_sq),
+        f_adaptive=f_adp,
         e_mean=float(curve[:, 3].mean()),
         e_max=float(curve[:, 3].max()),
-        e_adaptive=e_measure(adp_bin, gt),
+        e_adaptive=e_adp,
         mae=mae(sal, gt),
         threshold_curve=curve,
     )
@@ -258,38 +289,32 @@ class DetectionSet:
             raise ValueError(f"all masks must share dimensions, got {sorted(shapes)}")
 
 
-def _greedy_match(dets: DetectionSet, iou_floor: float = 0.5):
-    """Score-descending greedy one-to-one matching; returns per-prediction hit
-    flags (aligned with the ranking) and matched IoUs."""
-    order = sorted(
-        range(len(dets.predictions)), key=lambda i: (-dets.predictions[i].score, i)
-    )
-    taken = [False] * len(dets.ground_truths)
+def _greedy_match(scores, iou: np.ndarray, iou_floor: float = 0.5):
+    """Score-descending greedy one-to-one matching on the prediction x
+    ground-truth IoU matrix: each prediction takes the free ground truth of
+    highest IoU (lowest index on ties) if that IoU is positive and reaches
+    the floor. Returns per-prediction hit flags (aligned with the ranking)
+    and matched IoUs."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    free = np.ones(iou.shape[1], dtype=bool)
     hits, matched_ious = [], []
     for idx in order:
-        pred = dets.predictions[idx]
-        best_iou, best_j = 0.0, -1
-        for j, gt in enumerate(dets.ground_truths):
-            if taken[j]:
-                continue
-            iou = mask_iou(pred.mask, gt)
-            if iou > best_iou:
-                best_iou, best_j = iou, j
-        if best_j >= 0 and best_iou >= iou_floor:
-            taken[best_j] = True
+        row = np.where(free, iou[idx], -1.0)
+        j = int(np.argmax(row)) if row.size else -1
+        if j >= 0 and row[j] > 0.0 and row[j] >= iou_floor:
+            free[j] = False
             hits.append(True)
-            matched_ious.append(best_iou)
+            matched_ious.append(float(row[j]))
         else:
             hits.append(False)
     return hits, matched_ious
 
 
-def ap50(dets: DetectionSet) -> tuple[float, float]:
-    """All-point average precision at IoU >= 0.5 plus the mean IoU over
-    matched pairs only (0 when nothing matched)."""
-    if not dets.ground_truths:
-        raise ValueError("ap50 requires at least one ground-truth mask")
-    hits, matched_ious = _greedy_match(dets)
+def _match(dets: DetectionSet):
+    """Greedy 0.5-IoU matching of ``dets`` plus the scores derived from it:
+    (hits, matched IoUs, all-point AP, mean matched IoU or 0)."""
+    iou = pairwise_iou([p.mask for p in dets.predictions], dets.ground_truths)
+    hits, matched_ious = _greedy_match([p.score for p in dets.predictions], iou)
     n_gt = len(dets.ground_truths)
     ap = 0.0
     tp = 0
@@ -301,20 +326,28 @@ def ap50(dets: DetectionSet) -> tuple[float, float]:
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     mean_iou = float(np.mean(matched_ious)) if matched_ious else 0.0
-    return float(ap), mean_iou
+    return hits, matched_ious, float(ap), mean_iou
+
+
+def ap50(dets: DetectionSet) -> tuple[float, float]:
+    """All-point average precision at IoU >= 0.5 plus the mean IoU over
+    matched pairs only (0 when nothing matched)."""
+    if not dets.ground_truths:
+        raise ValueError("ap50 requires at least one ground-truth mask")
+    _, _, ap, mean_iou = _match(dets)
+    return ap, mean_iou
 
 
 def detection_report(dets: DetectionSet) -> dict:
     """Precision, recall, F1 (at the 0.5-IoU match), AP50, matched mean IoU."""
     if not dets.ground_truths:
         raise ValueError("detection_report requires at least one ground-truth mask")
-    hits, matched_ious = _greedy_match(dets)
+    hits, matched_ious, ap, mean_iou = _match(dets)
     tp = sum(hits)
     n_pred = len(dets.predictions)
     precision = tp / n_pred if n_pred else 0.0
     recall = tp / len(dets.ground_truths)
     f1 = f_beta(precision, recall, beta_sq=1.0)
-    ap, mean_iou = ap50(dets)
     return {
         "precision": precision,
         "recall": recall,

@@ -1,16 +1,15 @@
-"""Dense-tensor core: construction helpers, elementwise nonlinearities, and
+"""Dense-tensor core: the finiteness check, elementwise nonlinearities, and
 the central-difference gradient oracle that backstops every differentiable
 operation in this package.
 
 Tensors are plain numpy arrays in C (row-major) order, float32 ("single",
 the default working precision) or float64 ("double", mandatory inside
-gradient checks). Construction goes through :func:`tensor` /
-:func:`check_finite` so the no-NaN/no-Inf invariant holds at the boundary.
+gradient checks). Inputs go through :func:`check_finite` so the
+no-NaN/no-Inf invariant holds at the boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,9 +17,6 @@ from scipy.special import erf
 
 __all__ = [
     "NumericalError",
-    "PRECISION_DTYPES",
-    "Dual",
-    "tensor",
     "check_finite",
     "matmul",
     "gelu",
@@ -30,14 +26,11 @@ __all__ = [
     "softmax_vjp",
     "sigmoid",
     "sigmoid_grad",
-    "tanh",
     "finite_diff_grad",
 ]
 
 # l2_normalize maps zero-norm slices to zero vectors via this denominator shift.
 EPS_NORM = 1e-12
-
-PRECISION_DTYPES = {"single": np.float32, "double": np.float64}
 
 
 class NumericalError(Exception):
@@ -48,30 +41,6 @@ def check_finite(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"{name} contains non-finite values")
     return x
-
-
-def tensor(data, precision: str = "single") -> np.ndarray:
-    """Build a validated array: C-order, requested precision, all finite."""
-    if precision not in PRECISION_DTYPES:
-        raise ValueError(f"unknown precision {precision!r}; expected 'single' or 'double'")
-    arr = np.ascontiguousarray(data, dtype=PRECISION_DTYPES[precision])
-    return check_finite(arr, "tensor data")
-
-
-@dataclass
-class Dual:
-    """A value paired with its cotangent accumulator (same shape)."""
-
-    value: np.ndarray
-    cotangent: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.value)
-        c = np.asarray(self.cotangent)
-        if v.shape != c.shape:
-            raise ValueError(
-                f"cotangent shape {c.shape} does not match value shape {v.shape}"
-            )
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,11 +115,6 @@ def sigmoid(x):
 def sigmoid_grad(x) -> float:
     s = sigmoid(np.asarray(x, dtype=float))
     return s * (1.0 - s)
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Elementwise tanh; output in (-1, 1)."""
-    return np.tanh(np.asarray(x))
 
 
 def finite_diff_grad(

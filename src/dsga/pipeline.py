@@ -6,7 +6,7 @@ is byte-identical across runs for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .config import PipelineConfig, ValidationError
 from .lora import LoraLayer, init_lora_layer, lora_apply, lora_parameter_count, lora_vjp
 from .losses import LossHyper, LossWeights, combined_loss, loss_grads
 from .metrics import DetectionSet, detection_report, evaluate_saliency
-from .numerics import Dual, finite_diff_grad
+from .numerics import finite_diff_grad
 from .prompts import PromptConfig, ScoredInstance, dedup_instances, generate_prompts
 
 __all__ = [
@@ -67,16 +67,7 @@ def audit_params(cfg: PipelineConfig) -> AuditReport:
     """Count trainable parameters for both adapters (disjoint by construction)
     and compare against the reference totals."""
     dsga_count = parameter_count(
-        DsgaConfig(
-            embed_dim=cfg.backbone.embed_dim,
-            reduction_ratio=cfg.dsga.reduction_ratio,
-            k_max=cfg.dsga.k_max,
-            decay_exponent=cfg.dsga.decay_exponent,
-            dropout_prob=cfg.dsga.dropout_prob,
-            mode=cfg.dsga.mode,
-            seed=cfg.dsga.seed,
-        ),
-        cfg.backbone.layers,
+        replace(cfg.dsga, embed_dim=cfg.backbone.embed_dim), cfg.backbone.layers
     )
     lora_count = lora_parameter_count(
         cfg.lora, d=cfg.backbone.embed_dim, k_dim=cfg.backbone.embed_dim
@@ -175,10 +166,10 @@ def gradcheck_dsga(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> 
                 if name == "x":
                     out, _ = dsga_forward(theta, params, cfg)
                 elif name in ("theta_k", "w_p_raw", "w_n_raw"):
-                    p2 = _replace_param(params, name, float(theta.reshape(())))
+                    p2 = replace(params, **{name: float(theta.reshape(()))})
                     out, _ = dsga_forward(x, p2, cfg)
                 else:
-                    p2 = _replace_param(params, name, theta)
+                    p2 = replace(params, **{name: theta})
                     out, _ = dsga_forward(x, p2, cfg)
                 return float(np.sum(upstream * out))
 
@@ -186,23 +177,12 @@ def gradcheck_dsga(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> 
 
         worst = max(worst, max_hybrid_error(dx, finite_diff_grad(scalar_for("x"), x, h_step)))
         for name, value in grads.named_arrays().items():
-            dual = Dual(value=getattr(params, name), cotangent=value)
-            fd = finite_diff_grad(scalar_for(name), dual.value, h_step)
-            worst = max(worst, max_hybrid_error(dual.cotangent, fd))
+            fd = finite_diff_grad(scalar_for(name), getattr(params, name), h_step)
+            worst = max(worst, max_hybrid_error(value, fd))
         for name in ("theta_k", "w_p_raw", "w_n_raw"):
-            dual = Dual(
-                value=np.array(getattr(params, name), dtype=np.float64),
-                cotangent=np.array(getattr(grads, name), dtype=np.float64),
-            )
-            fd = finite_diff_grad(scalar_for(name), dual.value, h_step)
-            worst = max(worst, max_hybrid_error(dual.cotangent, fd))
+            fd = finite_diff_grad(scalar_for(name), np.array(getattr(params, name)), h_step)
+            worst = max(worst, max_hybrid_error(getattr(grads, name), fd))
     return GradcheckResult("dsga_vjp", worst, 1e-4, instances)
-
-
-def _replace_param(params: DsgaParams, name: str, value) -> DsgaParams:
-    fields = {k: getattr(params, k) for k in params.__dataclass_fields__}
-    fields[name] = value
-    return DsgaParams(**fields)
 
 
 def gradcheck_lora(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> GradcheckResult:
@@ -417,12 +397,7 @@ def demo_synthetic(seed: int, out_dir) -> dict:
     fileio.write_mask_pgm(out_dir / "foreground.pgm", fg)
     prompt_cfg = PromptConfig(grid_size=24, saliency_threshold=0.05, n_min=1, n_max=64)
     prompts = generate_prompts(fg, prompt_cfg)
-    with open(out_dir / "prompts.jsonl", "w") as fh:
-        for p in prompts:
-            fh.write(
-                '{"x":%d,"y":%d,"confidence":%.6f,"cell":[%d,%d]}\n'
-                % (p.x, p.y, p.confidence, p.source_cell[0], p.source_cell[1])
-            )
+    fileio.write_prompts_jsonl(out_dir / "prompts.jsonl", prompts)
 
     labels, _ = cc_label(fg)
     entries = []

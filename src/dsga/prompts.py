@@ -10,7 +10,8 @@ excluding empty cells) and caps it at n_max.
 
 Candidate instance masks are thinned greedily, highest predicted-IoU score
 first: a candidate is dropped when it overlaps an already-kept mask above
-tau_o, so the retained set is an antichain under IoU > tau_o.
+tau_o, so the retained set is an antichain under IoU > tau_o. Dedup, matching
+and AP all read one pairwise-IoU matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_array
 
 __all__ = [
     "PromptConfig",
@@ -27,6 +29,7 @@ __all__ = [
     "grid_saliency",
     "cell_centroid",
     "generate_prompts",
+    "pairwise_iou",
     "mask_iou",
     "dedup_instances",
 ]
@@ -154,16 +157,46 @@ def generate_prompts(mask: np.ndarray, cfg: PromptConfig) -> list[PointPrompt]:
     return prompts
 
 
+def _incidence(masks: list[np.ndarray], size: int):
+    """Masks x pixels 0/1 matrix in CSR form (the flat foreground indices of
+    each mask), and each mask's foreground count. Indices and values are
+    int32 whenever the counts fit, which halves the memory."""
+    counts = np.array([np.count_nonzero(m) for m in masks], dtype=np.int64)
+    index = np.int32 if max(size, int(counts.sum())) < 2**31 else np.int64
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(index)
+    cols = [np.flatnonzero(m).astype(index) for m in masks]
+    indices = np.concatenate(cols) if cols else np.zeros(0, dtype=index)
+    data = np.ones(indices.size, dtype=index)
+    return csr_array((data, indices, indptr), shape=(len(masks), size)), counts
+
+
+def pairwise_iou(a_masks, b_masks) -> np.ndarray:
+    """[len(a_masks), len(b_masks)] intersection over union of equally sized
+    2-D masks (nonzero = foreground); 0 where both masks are empty.
+
+    Intersections come from one sparse product of the masks' foreground
+    incidence matrices and union = |a| + |b| - intersection, so memory
+    follows the foreground pixels, not the image size."""
+    same = a_masks is b_masks
+    a_masks = [np.asarray(m) for m in a_masks]
+    b_masks = a_masks if same else [np.asarray(m) for m in b_masks]
+    shapes = {m.shape for m in a_masks + b_masks}
+    for shape in shapes:
+        if len(shape) != 2:
+            raise ValueError(f"mask must be 2-D, got shape {shape}")
+    if len(shapes) > 1:
+        raise ValueError(f"mask dimensions differ: {sorted(shapes)}")
+    size = a_masks[0].size if a_masks else b_masks[0].size if b_masks else 0
+    a, a_count = _incidence(a_masks, size)
+    b, b_count = (a, a_count) if same else _incidence(b_masks, size)
+    inter = (a @ b.T).toarray()
+    union = a_count[:, None] + b_count[None, :] - inter
+    return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
+
+
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     """Intersection over union of two equally sized masks; 0 when both empty."""
-    a = _as_mask(a)
-    b = _as_mask(b)
-    if a.shape != b.shape:
-        raise ValueError(f"mask dimensions differ: {a.shape} vs {b.shape}")
-    union = np.logical_or(a, b).sum()
-    if union == 0:
-        return 0.0
-    return float(np.logical_and(a, b).sum() / union)
+    return float(pairwise_iou([a], [b])[0, 0])
 
 
 def dedup_instances(
@@ -177,9 +210,12 @@ def dedup_instances(
     ranked = sorted(
         range(len(candidates)), key=lambda idx: (-candidates[idx].score, idx)
     )
+    masks = [c.mask for c in candidates]
+    iou = pairwise_iou(masks, masks)
+    suppressed = np.zeros(len(candidates), dtype=bool)
     kept: list[ScoredInstance] = []
     for idx in ranked:
-        cand = candidates[idx]
-        if all(mask_iou(cand.mask, accepted.mask) <= tau_o for accepted in kept):
-            kept.append(cand)
+        if not suppressed[idx]:
+            kept.append(candidates[idx])
+            suppressed |= iou[idx] > tau_o
     return kept

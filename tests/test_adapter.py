@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -570,6 +571,15 @@ class TestDsgaForward:
         with pytest.raises(ValueError, match="embed_dim"):
             dsga_forward(np.zeros((1, 2, 2, 4)), params, cfg)
 
+    @pytest.mark.parametrize("shape", [(1, 0, 3, 8), (1, 3, 0, 8), (2, 0, 0, 8)])
+    def test_empty_grid_rejected(self, shape):
+        cfg = DsgaConfig(embed_dim=8)
+        params = init_dsga_params(cfg)
+        with pytest.raises(ValueError, match="empty token grid"):
+            dsga_forward(np.zeros(shape, np.float32), params, cfg)
+        with pytest.raises(ValueError, match="empty token grid"):
+            dsga_vjp(np.zeros(shape), params, cfg, np.zeros(shape))
+
 
 class TestDropoutMask:
     def test_zero_prob_identity(self):
@@ -625,14 +635,12 @@ class TestDsgaVjp:
         )
         assert max_hybrid_error(dx, fd_x) <= 1e-4
 
-        from dsga.pipeline import _replace_param
-
         for name in ("down_w", "fusion_w", "rank_logits", "up_b", "w_p_raw", "w_n_raw"):
             theta0 = np.asarray(getattr(params, name), dtype=np.float64)
 
             def f(theta, name=name):
                 value = float(theta.reshape(())) if theta0.ndim == 0 else theta
-                out, _ = dsga_forward(x, _replace_param(params, name, value), cfg)
+                out, _ = dsga_forward(x, replace(params, **{name: value}), cfg)
                 return float(np.sum(upstream * out))
 
             fd = finite_diff_grad(f, theta0)
@@ -648,8 +656,6 @@ class TestDsgaVjp:
     def test_degenerate_spatial_shapes_match_fd(self, shape):
         # single-node graphs and 1-wide strips exercise the replicating
         # reflect padding in both directions of the pooling backward
-        from dsga.pipeline import _replace_param
-
         b, h, w = shape
         cfg = DsgaConfig(embed_dim=8, k_max=3, dropout_prob=0.0, mode="eval", seed=50)
         params = init_dsga_params(cfg, precision="double")
@@ -663,7 +669,7 @@ class TestDsgaVjp:
         assert max_hybrid_error(dx, fd_x) <= 1e-4
 
         def fusion_scalar(t):
-            out, _ = dsga_forward(x, _replace_param(params, "fusion_w", t), cfg)
+            out, _ = dsga_forward(x, replace(params, fusion_w=t), cfg)
             return float(np.sum(upstream * out))
 
         fd_fusion = finite_diff_grad(fusion_scalar, params.fusion_w)

@@ -5,6 +5,7 @@ import pytest
 
 from dsga.metrics import (
     DetectionSet,
+    _greedy_match,
     adaptive_threshold,
     ap50,
     detection_report,
@@ -16,7 +17,7 @@ from dsga.metrics import (
     s_measure,
     threshold_sweep,
 )
-from dsga.prompts import ScoredInstance
+from dsga.prompts import ScoredInstance, pairwise_iou
 
 
 class TestPrecisionRecall:
@@ -347,3 +348,214 @@ class TestAp50:
                 [ScoredInstance(mask=square_mask(0, 0), score=0.5)],
                 [np.zeros((5, 5), bool)],
             )
+
+
+# reference oracles: the per-threshold, per-pixel and per-pair loops that the
+# count kernel and the IoU matrix replaced, kept verbatim in behaviour
+
+
+def reference_precision_recall(pred, gt):
+    inter = int(np.logical_and(pred, gt).sum())
+    np_, ng = int(pred.sum()), int(gt.sum())
+    precision = (1.0 if ng == 0 else 0.0) if np_ == 0 else inter / np_
+    recall = 1.0 if ng == 0 else inter / ng
+    return precision, recall
+
+
+def reference_e_measure(pred, gt):
+    n = gt.size
+    gt_fg, pred_fg = int(gt.sum()), int(pred.sum())
+    if gt_fg == 0:
+        enhanced_sum = n - pred_fg
+    elif gt_fg == n:
+        enhanced_sum = pred_fg
+    else:
+        a = pred.astype(np.float64) - pred_fg / n
+        g = gt.astype(np.float64) - gt_fg / n
+        align = 2.0 * a * g / (a * a + g * g + np.spacing(1.0))
+        enhanced_sum = float(np.sum((align + 1.0) ** 2 / 4.0))
+    return float(enhanced_sum / n)
+
+
+def reference_sweep(sal, gt, beta_sq=0.3):
+    curve = np.zeros((256, 4))
+    for i in range(256):
+        binarized = sal > i / 255.0
+        p, r = reference_precision_recall(binarized, gt)
+        curve[i] = (p, r, f_beta(p, r, beta_sq), reference_e_measure(binarized, gt))
+    return curve
+
+
+def reference_mask_iou(a, b):
+    union = np.logical_or(a, b).sum()
+    if union == 0:
+        return 0.0
+    return float(np.logical_and(a, b).sum() / union)
+
+
+def reference_greedy_match(dets, iou_floor=0.5):
+    order = sorted(range(len(dets.predictions)), key=lambda i: (-dets.predictions[i].score, i))
+    taken = [False] * len(dets.ground_truths)
+    hits, matched_ious = [], []
+    for idx in order:
+        best_iou, best_j = 0.0, -1
+        for j, gt in enumerate(dets.ground_truths):
+            if taken[j]:
+                continue
+            iou = reference_mask_iou(dets.predictions[idx].mask, gt)
+            if iou > best_iou:
+                best_iou, best_j = iou, j
+        if best_j >= 0 and best_iou >= iou_floor:
+            taken[best_j] = True
+            hits.append(True)
+            matched_ious.append(best_iou)
+        else:
+            hits.append(False)
+    return hits, matched_ious
+
+
+def reference_detection_report(dets):
+    hits, matched_ious = reference_greedy_match(dets)
+    n_pred, n_gt = len(dets.predictions), len(dets.ground_truths)
+    tp = sum(hits)
+    precision = tp / n_pred if n_pred else 0.0
+    recall = tp / n_gt
+    ap, tp_run, prev_recall = 0.0, 0, 0.0
+    for n, hit in enumerate(hits, start=1):
+        tp_run += int(hit)
+        ap += (tp_run / n_gt - prev_recall) * (tp_run / n)
+        prev_recall = tp_run / n_gt
+    return {
+        "precision": precision,
+        "recall": recall,
+        "f1": f_beta(precision, recall, beta_sq=1.0),
+        "ap50": float(ap),
+        "matched_iou_mean": float(np.mean(matched_ious)) if matched_ious else 0.0,
+        "matched_count": len(matched_ious),
+        "num_predictions": n_pred,
+        "num_ground_truths": n_gt,
+    }
+
+
+def oracle_maps(rng, trials=48):
+    """Seeded (saliency, gt) pairs: continuous maps, 8-bit PGM maps (every
+    value exactly on a threshold i/255), float32-rounded maps, few-level maps
+    with heavy ties, binary maps; 1xN, Nx1 and 1x1 strips; empty and full
+    ground truth."""
+    strips = [(1, 37), (29, 1), (1, 1), (1, 256)]
+    for trial in range(trials):
+        if trial % 4 == 0:
+            h, w = strips[(trial // 4) % len(strips)]
+        else:
+            h, w = int(rng.integers(2, 48)), int(rng.integers(2, 48))
+        sal = rng.random((h, w))
+        kind = trial % 5
+        if kind == 1:
+            sal = np.rint(sal * 255.0) / 255.0
+        elif kind == 2:
+            sal = sal.astype(np.float32).astype(np.float64)
+        elif kind == 3:
+            sal = rng.integers(0, 4, (h, w)) / 3.0
+        elif kind == 4:
+            sal = (sal > 0.5).astype(np.float64)
+        gt = rng.random((h, w)) < rng.random()
+        if trial % 6 == 1:
+            gt[:] = False
+        elif trial % 6 == 2:
+            gt[:] = True
+        yield sal, gt
+
+
+class TestCountKernelOracle:
+    def test_sweep_matches_per_threshold_loop(self):
+        rng = np.random.default_rng(60)
+        for sal, gt in oracle_maps(rng):
+            curve, ref = threshold_sweep(sal, gt), reference_sweep(sal, gt)
+            assert np.array_equal(curve[:, :3], ref[:, :3])
+            assert np.abs(curve[:, 3] - ref[:, 3]).max() <= 1e-15
+
+    def test_single_binarization_matches_per_pixel_sums(self):
+        rng = np.random.default_rng(61)
+        for sal, gt in oracle_maps(rng):
+            pred = sal > rng.choice([0.0, 0.5, 1.0, float(rng.random())])
+            assert precision_recall(pred, gt) == reference_precision_recall(pred, gt)
+            assert abs(e_measure(pred, gt) - reference_e_measure(pred, gt)) <= 1e-15
+
+    def test_report_matches_old_loops(self):
+        rng = np.random.default_rng(62)
+        for sal, gt in oracle_maps(rng):
+            rep = evaluate_saliency(sal, gt)
+            ref = reference_sweep(sal, gt)
+            adp = sal > min(2.0 * float(sal.mean()), 1.0)
+            p, r = reference_precision_recall(adp, gt)
+            assert rep.f_mean == float(ref[:, 2].mean())
+            assert rep.f_max == float(ref[:, 2].max())
+            assert rep.f_adaptive == f_beta(p, r)
+            assert abs(rep.e_mean - float(ref[:, 3].mean())) <= 1e-15
+            assert abs(rep.e_max - float(ref[:, 3].max())) <= 1e-15
+            assert abs(rep.e_adaptive - reference_e_measure(adp, gt)) <= 1e-15
+
+    def test_sweep_shares_the_e_measure_kernel(self):
+        # one code path: the sweep's E is bit-equal to e_measure at every level
+        rng = np.random.default_rng(63)
+        for sal, gt in oracle_maps(rng, trials=12):
+            curve = threshold_sweep(sal, gt)
+            for i in range(0, 256, 17):
+                assert curve[i, 3] == e_measure(sal > i / 255.0, gt)
+
+    def test_nan_saliency_rejected(self):
+        sal = np.full((3, 3), 0.5)
+        sal[1, 1] = np.nan
+        with pytest.raises(ValueError, match="saliency values"):
+            threshold_sweep(sal, np.zeros((3, 3), bool))
+
+
+def oracle_scene(rng, n_pred, n_gt, shape=(10, 12)):
+    """Blocks on a small grid, so IoU ties, exact duplicates and score ties
+    are common."""
+
+    def block():
+        m = np.zeros(shape, bool)
+        y, x = int(rng.integers(0, shape[0] - 1)), int(rng.integers(0, shape[1] - 1))
+        m[y : y + int(rng.integers(1, 5)), x : x + int(rng.integers(1, 5))] = True
+        return m
+
+    gts = [block() for _ in range(n_gt)]
+    preds = []
+    for _ in range(n_pred):
+        m = gts[int(rng.integers(0, n_gt))].copy() if gts and rng.random() < 0.4 else block()
+        preds.append(ScoredInstance(mask=m, score=float(rng.integers(0, 5)) / 4.0))
+    return DetectionSet(preds, gts)
+
+
+class TestIouMatchingOracle:
+    def test_greedy_match_matches_per_pair_loop(self):
+        rng = np.random.default_rng(64)
+        for trial in range(150):
+            dets = oracle_scene(rng, trial % 7, int(rng.integers(0, 6)))
+            iou = pairwise_iou([p.mask for p in dets.predictions], dets.ground_truths)
+            scores = [p.score for p in dets.predictions]
+            assert _greedy_match(scores, iou) == reference_greedy_match(dets)
+
+    def test_detection_report_matches_old_loops(self):
+        rng = np.random.default_rng(65)
+        for trial in range(150):
+            dets = oracle_scene(rng, trial % 9, int(rng.integers(1, 6)))
+            assert detection_report(dets) == reference_detection_report(dets)
+            report = reference_detection_report(dets)
+            assert ap50(dets) == (report["ap50"], report["matched_iou_mean"])
+
+    def test_equal_iou_goes_to_lowest_ground_truth(self):
+        g0 = np.zeros((2, 2), bool)
+        g0[:, 0] = True
+        g1 = np.zeros((2, 2), bool)
+        g1[0, :] = True
+        corner = np.zeros((2, 2), bool)
+        corner[0, 0] = True  # IoU 1/2 with both
+        # the corner takes g0, so the exact copy of g0 ranked after it misses
+        preds = [ScoredInstance(mask=corner, score=0.9), ScoredInstance(mask=g0, score=0.8)]
+        dets = DetectionSet(preds, [g0, g1])
+        iou = pairwise_iou([corner, g0], [g0, g1])
+        assert _greedy_match([0.9, 0.8], iou) == ([True, False], [0.5])
+        assert reference_greedy_match(dets) == ([True, False], [0.5])
+        assert detection_report(dets)["matched_count"] == 1

@@ -3,14 +3,13 @@ import pytest
 
 from dsga.numerics import (
     NumericalError,
+    check_finite,
     finite_diff_grad,
     gelu,
     l2_normalize,
     matmul,
     sigmoid,
     softmax,
-    tanh,
-    tensor,
 )
 
 
@@ -121,12 +120,7 @@ class TestScalarNonlinearities:
     def test_sigmoid_log_four(self):
         assert abs(sigmoid(np.log(4.0)) - 0.8) < 1e-15
 
-    def test_tanh_zero_and_ranges(self):
-        assert tanh(np.array(0.0)) == 0.0
-        # beyond |x| ~ 19 float64 tanh saturates to exactly 1; below that the
-        # open-interval bound is representable
-        x = np.linspace(-15, 15, 101)
-        assert np.all(np.abs(tanh(x)) < 1.0)
+    def test_sigmoid_open_interval(self):
         assert 0.0 < sigmoid(-30.0) < 1.0 and 0.0 < sigmoid(30.0) < 1.0
 
 
@@ -147,22 +141,7 @@ class TestFiniteDiff:
             finite_diff_grad(bad, np.array([0.0, 0.5, 0.0]))
 
 
-class TestTensorConstruction:
+class TestCheckFinite:
     def test_rejects_nan(self):
         with pytest.raises(NumericalError):
-            tensor([1.0, float("nan")])
-
-    def test_precisions(self):
-        assert tensor([1.0], "single").dtype == np.float32
-        assert tensor([1.0], "double").dtype == np.float64
-        with pytest.raises(ValueError):
-            tensor([1.0], "half")
-
-
-class TestDual:
-    def test_shape_agreement_enforced(self):
-        from dsga.numerics import Dual
-
-        Dual(value=np.zeros((2, 3)), cotangent=np.ones((2, 3)))
-        with pytest.raises(ValueError, match="shape"):
-            Dual(value=np.zeros((2, 3)), cotangent=np.zeros((3, 2)))
+            check_finite(np.array([1.0, float("nan")]))

@@ -49,13 +49,21 @@ class TestConfig:
         with pytest.raises(ValidationError, match="unknown keys"):
             PipelineConfig.from_dict({"loss": {"gamma": 2.0}})
 
+    def test_removed_ema_enabled_key_rejected(self, tmp_path):
+        assert "ema_enabled" not in PipelineConfig().to_dict()["loss"]
+        with pytest.raises(ValidationError, match="unknown keys in section 'loss'"):
+            PipelineConfig.from_dict({"loss": {"ema_enabled": True}})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"loss": {"ema_enabled": false}}')
+        assert main(["audit", "params", "--config", str(cfg)]) == 1
+
     def test_invalid_value_rejected(self):
         with pytest.raises(ValidationError):
             PipelineConfig.from_dict({"dsga": {"reduction_ratio": 0.0}})
 
     @pytest.mark.parametrize("data", [
-        {"loss": {"ema_enabled": "false"}},
-        {"loss": {"ema_enabled": 0}},
+        {"loss": {"focal_gamma": "2"}},
+        {"loss": {"dice_smooth": True}},
         {"loss": {"ema_beta": "0.5"}},
         {"loss": {"weights": [1.0, True, 1.0]}},
         {"dsga": {"k_max": 2.5}},
@@ -72,11 +80,9 @@ class TestConfig:
             PipelineConfig.from_dict(data)
 
     def test_ints_accepted_for_floats(self):
-        cfg = PipelineConfig.from_dict(
-            {"dsga": {"reduction_ratio": 1}, "loss": {"ema_beta": 0, "ema_enabled": True}}
-        )
+        cfg = PipelineConfig.from_dict({"dsga": {"reduction_ratio": 1}, "loss": {"ema_beta": 0}})
         assert cfg.dsga.reduction_ratio == 1
-        assert cfg.loss_weights.ema_beta == 0.0 and cfg.loss_weights.ema_enabled is True
+        assert cfg.loss_weights.ema_beta == 0.0
         assert PipelineConfig.from_dict({"lora": {"alpha": None}}).lora.alpha == 8.0
 
 
@@ -334,7 +340,7 @@ class TestCli:
             assert np.allclose(row["lambda_raw"], expected, atol=1e-12)
             assert sum(row["lambda_normalized"]) == pytest.approx(3.0)
 
-    def test_metrics_saliency_cli(self, tmp_path, monkeypatch):
+    def test_metrics_saliency_cli(self, tmp_path):
         gt = np.zeros((8, 8), bool)
         gt[2:6, 1:5] = True
         (tmp_path / "preds").mkdir()
@@ -342,7 +348,6 @@ class TestCli:
         for stem in ("img1", "img2"):
             fileio.write_mask_pgm(tmp_path / "preds" / f"{stem}.pgm", gt)
             fileio.write_mask_pgm(tmp_path / "gts" / f"{stem}.pgm", gt)
-        monkeypatch.setenv("DSGA_THREADS", "2")
         code = main([
             "metrics", "saliency", "--pred-dir", str(tmp_path / "preds"),
             "--gt-dir", str(tmp_path / "gts"), "--out", str(tmp_path / "r.json"),
@@ -353,6 +358,26 @@ class TestCli:
         assert report["dataset_mean"]["mae"] == 0.0
         assert report["dataset_mean"]["f_max"] == 1.0
         assert set(report["images"]) == {"img1", "img2"}
+
+    @pytest.mark.parametrize("side", ["preds", "gts"])
+    def test_metrics_saliency_rejects_duplicate_stems(self, tmp_path, capsys, side):
+        gt = np.zeros((8, 8), bool)
+        gt[2:6, 1:5] = True
+        for d in ("preds", "gts"):
+            (tmp_path / d).mkdir()
+            fileio.write_mask_pgm(tmp_path / d / "a.pgm", gt)
+            fileio.write_mask_pgm(tmp_path / d / "b.pgm", gt)
+        # same stem, second format: one of the two would be dropped silently
+        fileio.write_tns(tmp_path / side / "a.tns", gt.astype(np.float32))
+        capsys.readouterr()
+        code = main([
+            "metrics", "saliency", "--pred-dir", str(tmp_path / "preds"),
+            "--gt-dir", str(tmp_path / "gts"), "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'a'" in err and "a.pgm" in err and "a.tns" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_metrics_instances_cli(self, tmp_path):
         _, manifest, blobs = three_blob_fixture(tmp_path)
@@ -392,6 +417,20 @@ class TestCli:
         x_cfg.write_text('{"embed_dim": 8}')
         assert main(["forward", "--input", str(bad_tns), "--params", "p",
                      "--config", str(x_cfg), "--output", "o"]) == 2
+
+    def test_forward_on_empty_grid_exits_one(self, tmp_path, capsys):
+        cfg = DsgaConfig(embed_dim=8, k_max=3, dropout_prob=0.0, mode="eval", seed=9)
+        write_params_bundle(tmp_path / "params", init_dsga_params(cfg))
+        (tmp_path / "cfg.json").write_text('{"embed_dim": 8, "k_max": 3}')
+        fileio.write_tns(tmp_path / "x.tns", np.zeros((1, 0, 3, 8), np.float32))
+        code = main([
+            "forward", "--input", str(tmp_path / "x.tns"),
+            "--params", str(tmp_path / "params"), "--config", str(tmp_path / "cfg.json"),
+            "--output", str(tmp_path / "y.tns"),
+        ])
+        assert code == 1
+        assert "empty token grid" in capsys.readouterr().err
+        assert not (tmp_path / "y.tns").exists()
 
     def test_gradcheck_failure_exits_three(self, tmp_path, monkeypatch):
         from dsga import cli

@@ -9,6 +9,7 @@ from dsga.prompts import (
     generate_prompts,
     grid_saliency,
     mask_iou,
+    pairwise_iou,
 )
 
 
@@ -296,3 +297,85 @@ class TestDedup:
     def test_invalid_threshold(self):
         with pytest.raises(ValueError, match="tau_o"):
             dedup_instances([], tau_o=0.0)
+
+
+# reference oracles: the per-pair IoU and the dedup loop over it that the
+# pairwise-IoU matrix replaced
+
+
+def reference_mask_iou(a, b):
+    a, b = np.asarray(a).astype(bool), np.asarray(b).astype(bool)
+    union = np.logical_or(a, b).sum()
+    if union == 0:
+        return 0.0
+    return float(np.logical_and(a, b).sum() / union)
+
+
+def reference_dedup(candidates, tau_o):
+    ranked = sorted(range(len(candidates)), key=lambda i: (-candidates[i].score, i))
+    kept = []
+    for idx in ranked:
+        cand = candidates[idx]
+        if all(reference_mask_iou(cand.mask, k.mask) <= tau_o for k in kept):
+            kept.append(cand)
+    return kept
+
+
+def oracle_masks(rng, count, shape):
+    """Random masks with planted exact duplicates, empty and full masks."""
+    masks = []
+    for _ in range(count):
+        u = rng.random()
+        if masks and u < 0.2:
+            masks.append(masks[int(rng.integers(0, len(masks)))].copy())
+        elif u < 0.25:
+            masks.append(np.zeros(shape, bool))
+        elif u < 0.3:
+            masks.append(np.ones(shape, bool))
+        else:
+            masks.append(rng.random(shape) < rng.random())
+    return masks
+
+
+class TestPairwiseIouOracle:
+    SHAPES = [(6, 7), (1, 9), (9, 1), (1, 1), (16, 16)]
+
+    def test_matrix_matches_per_pair_iou(self):
+        rng = np.random.default_rng(70)
+        for trial in range(60):
+            shape = self.SHAPES[trial % len(self.SHAPES)]
+            a = oracle_masks(rng, trial % 5, shape)
+            b = oracle_masks(rng, int(rng.integers(0, 6)), shape)
+            iou = pairwise_iou(a, b)
+            assert iou.shape == (len(a), len(b)) and iou.dtype == np.float64
+            for i, ma in enumerate(a):
+                for j, mb in enumerate(b):
+                    assert iou[i, j] == reference_mask_iou(ma, mb)
+                    assert mask_iou(ma, mb) == iou[i, j]
+
+    def test_nonzero_is_foreground(self):
+        m = np.array([[0, 255], [7, 0]], dtype=np.uint8)
+        assert mask_iou(m, m != 0) == 1.0
+        assert pairwise_iou([m], [m.astype(float) * 0.5])[0, 0] == 1.0
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            pairwise_iou([np.zeros((2, 2))], [np.zeros((2, 2)), np.zeros((2, 3))])
+        with pytest.raises(ValueError, match="2-D"):
+            pairwise_iou([np.zeros(4)], [])
+        assert pairwise_iou([], []).shape == (0, 0)
+        assert pairwise_iou([], [np.ones((2, 2))]).shape == (0, 1)
+
+    def test_dedup_matches_per_pair_loop(self):
+        rng = np.random.default_rng(71)
+        for trial in range(80):
+            shape = self.SHAPES[trial % len(self.SHAPES)]
+            cands = [
+                ScoredInstance(mask=m, score=float(rng.integers(0, 4)) / 3.0)
+                for m in oracle_masks(rng, trial % 13, shape)
+                if m.any()
+            ]
+            for tau in (0.1, 0.5, 0.75, 1.0):
+                kept = dedup_instances(cands, tau_o=tau)
+                ref = reference_dedup(cands, tau)
+                assert [id(k) for k in kept] == [id(k) for k in ref]
