@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .numerics import (
     check_finite,
@@ -364,8 +365,13 @@ def propagate(graph: SimilarityGraph, z: np.ndarray) -> np.ndarray:
         )
     out = graph.self_weights[..., None] * z
     if graph.k > 0:
-        gathered = z[np.arange(b)[:, None, None], graph.neighbors]  # [B,N,k,Dh]
-        out = out + np.sum(graph.edge_weights[..., None] * gathered, axis=2)
+        # rank by rank, in rank order from +0: the same sums as reducing a
+        # [B, N, k, Dh] gather over k, without holding it
+        bi = np.arange(b)[:, None]
+        acc = np.zeros(out.shape, np.result_type(graph.edge_weights, z))
+        for r in range(graph.k):
+            acc += graph.edge_weights[..., r, None] * z[bi, graph.neighbors[..., r]]
+        out += acc
     return out
 
 
@@ -387,36 +393,51 @@ def _dual_pool_trace(zp: np.ndarray):
     if zp.ndim != 4:
         raise ValueError(f"expected [B, H, W, C], got shape {zp.shape}")
     _, h, w, _ = zp.shape
-    rows = _reflect_indices(h)
-    cols = _reflect_indices(w)
-    padded = zp[:, rows][:, :, cols]  # [B, H+2, W+2, C]
-    stack = np.stack(
-        [padded[:, dy : dy + h, dx : dx + w] for dy, dx in _OFFSETS], axis=0
-    )
-    mx = stack.max(axis=0)
-    argmax = stack.argmax(axis=0)
-    av = stack.mean(axis=0)
-    return mx, av, argmax, rows, cols
+    padded = zp[:, _reflect_indices(h)][:, :, _reflect_indices(w)]  # [B, H+2, W+2, C]
+    # running max, argmax and sum over the offsets in order: the same values
+    # as max/argmax/mean over a 9-offset stack, without holding it (strict >
+    # keeps argmax's first-index tie rule; the sum starts from +0 as a
+    # reduction does, so all -0 windows average to +0)
+    mx = padded[:, :h, :w].copy()
+    argmax = np.zeros(mx.shape, dtype=np.intp)
+    acc = np.zeros_like(mx)
+    for o, (dy, dx) in enumerate(_OFFSETS):
+        window = padded[:, dy : dy + h, dx : dx + w]
+        np.copyto(argmax, o, where=window > mx)
+        np.maximum(mx, window, out=mx)
+        acc += window
+    return mx, acc / 9, argmax
 
 
 def dual_pool(zp: np.ndarray):
     """Parallel 3x3 max and average pooling, stride 1, reflective padding of 1;
     output shapes equal the input shape."""
-    mx, av, _, _, _ = _dual_pool_trace(zp)
+    mx, av, _ = _dual_pool_trace(zp)
     return mx, av
 
 
-def _dual_pool_vjp(dmx, dav, argmax, rows, cols, shape):
-    b, h, w, c = shape
+def _dual_pool_vjp(dmx, dav, argmax):
+    b, h, w, c = argmax.shape
     dpadded = np.zeros((b, h + 2, w + 2, c), dtype=np.float64)
+    dav9 = dav / 9.0
     for o, (dy, dx) in enumerate(_OFFSETS):
-        contrib = np.where(argmax == o, dmx, 0.0) + dav / 9.0
-        dpadded[:, dy : dy + h, dx : dx + w] += contrib
-    folded_rows = np.zeros((b, h, w + 2, c), dtype=np.float64)
-    np.add.at(folded_rows, (slice(None), rows), dpadded)
-    out = np.zeros((b, h, w, c), dtype=np.float64)
-    np.add.at(out, (slice(None), slice(None), cols), folded_rows)
-    return out
+        dpadded[:, dy : dy + h, dx : dx + w] += np.where(argmax == o, dmx, 0.0) + dav9
+    return _fold_reflect(_fold_reflect(dpadded, 1), 2)
+
+
+def _fold_reflect(d: np.ndarray, axis: int) -> np.ndarray:
+    """Adjoint of pad-1 reflection along ``axis``: each padded position adds
+    into its source, so 1 and n - 2 pick up the pads (all three positions
+    fold onto 0 when n = 1)."""
+    d = np.moveaxis(d, axis, 0)
+    n = d.shape[0] - 2
+    if n == 1:
+        out = (d[0] + d[1] + d[2])[None]
+    else:
+        out = d[1 : n + 1].copy()
+        out[1] += d[0]
+        out[n - 2] += d[n + 1]
+    return np.moveaxis(out, 0, axis)
 
 
 def hybrid_pool(max_t: np.ndarray, avg_t: np.ndarray, w_p_raw: float) -> np.ndarray:
@@ -482,9 +503,8 @@ def _forward_trace(x, params: DsgaParams, cfg: DsgaConfig):
     t["f"] = check_finite(matmul(t["g"], params.fusion_w), "fusion")
     fr = t["f"].reshape(b, h, w, cfg.d_hidden)
     t["fr"] = fr
-    mx, av, argmax, rows, cols = _dual_pool_trace(fr)
-    t.update(mx=mx, av=av, argmax=argmax, rows=rows, cols=cols)
-    t["pooled"] = hybrid_pool(mx, av, params.w_p_raw)
+    t["mx"], t["av"], t["argmax"] = _dual_pool_trace(fr)
+    t["pooled"] = hybrid_pool(t["mx"], t["av"], params.w_p_raw)
     t["zp"] = gated_residual(fr, t["pooled"], params.w_n_raw)
 
     flat = t["zp"].reshape(b, n, cfg.d_hidden)
@@ -531,14 +551,12 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     graph: SimilarityGraph = t["graph"]
 
     dx = upstream.copy()  # residual term
-    uf = upstream.reshape(b, n, d)
+    uf = upstream.reshape(b * n, d)
 
-    # up-projection
-    d_up_w = np.einsum("bnh,bnd->hd", t["dropped"], uf)
-    d_up_b = uf.sum(axis=(0, 1))
-    d_dropped = matmul(uf, params.up_w.T)
-    d_zp_flat = d_dropped  # vjp path has no dropout by precondition
-    d_zp = d_zp_flat.reshape(b, h, w, dh)
+    # up-projection; weight gradients are GEMMs over the flattened [B*N, .] rows
+    d_up_w = t["dropped"].reshape(b * n, dh).T @ uf
+    d_up_b = uf.sum(axis=0)
+    d_zp = matmul(uf, params.up_w.T).reshape(b, h, w, dh)  # no dropout by precondition
 
     # gated residual
     g = 0.5 * sigmoid(params.w_n_raw)
@@ -555,14 +573,12 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     d_w_p = float(np.sum((t["mx"] - t["av"]) * d_pooled)) * sigmoid_grad(params.w_p_raw)
 
     # dual pooling (argmax fixed)
-    d_fr = d_fr + _dual_pool_vjp(
-        d_mx, d_av, t["argmax"], t["rows"], t["cols"], (b, h, w, dh)
-    )
-    d_f = d_fr.reshape(b, n, dh)
+    d_fr += _dual_pool_vjp(d_mx, d_av, t["argmax"])
+    d_f = d_fr.reshape(b * n, dh)
 
     # fusion
-    d_fusion_w = np.einsum("bnh,bng->hg", t["g"], d_f)
-    d_g = matmul(d_f, params.fusion_w.T)
+    d_fusion_w = t["g"].reshape(b * n, dh).T @ d_f
+    d_g = matmul(d_f, params.fusion_w.T).reshape(b, n, dh)
 
     # graph propagation: out_i = A_ii z_i + sum_r w_r/s * z_nbr
     d_z = graph.self_weights[..., None] * d_g
@@ -570,17 +586,21 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     d_row_sum = 0.0
     row_sum = 1.0 + float(t["w_rank"][: graph.k].sum()) if graph.k > 0 else 1.0
     if graph.k > 0:
-        bi = np.arange(b)[:, None, None]
-        gathered = t["z"][bi, graph.neighbors]  # [B,N,k,Dh]
-        # scatter cotangent back to neighbor features
-        contrib = graph.edge_weights[..., None] * d_g[:, :, None, :]  # [B,N,k,Dh]
-        flat_idx = (np.arange(b)[:, None, None] * n + graph.neighbors).reshape(-1)
-        np.add.at(
-            d_z.reshape(b * n, dh), flat_idx, contrib.reshape(-1, dh)
+        # scatter the cotangent back to neighbor features: d_z += E^T d_g with
+        # E[i, nbr(i, r)] = A_{i, nbr(i, r)}, block-diagonal over the batch
+        rows = np.arange(b * n * graph.k + 1, step=graph.k)
+        cols = (np.arange(b)[:, None, None] * n + graph.neighbors).reshape(-1)
+        edges = csr_array(
+            (graph.edge_weights.reshape(-1), cols, rows), shape=(b * n, b * n)
         )
-        # cotangent on the normalized adjacency values
-        d_edge = np.sum(gathered * d_g[:, :, None, :], axis=-1)  # [B,N,k]
-        d_self = np.sum(t["z"] * d_g, axis=-1)  # [B,N]
+        d_z += (edges.T @ d_g.reshape(b * n, dh)).reshape(b, n, dh)
+        # cotangent on the normalized adjacency values, one rank at a time
+        z = t["z"].astype(d_g.dtype, copy=False)
+        bi = np.arange(b)[:, None]
+        d_edge = np.empty((b, n, graph.k))
+        for r in range(graph.k):
+            d_edge[..., r] = np.einsum("bnh,bnh->bn", z[bi, graph.neighbors[..., r]], d_g)
+        d_self = np.einsum("bnh,bnh->bn", z, d_g)
         # A_edge[r] = w_r / s and A_self = 1 / s with s = 1 + sum(w[:k])
         d_w_used = d_edge.sum(axis=(0, 1)) / row_sum
         d_row_sum = -(
@@ -593,10 +613,10 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
         d_rank_logits = np.zeros(1)
 
     # activation and down-projection
-    d_pre = d_z * gelu_grad(t["pre"])
-    xf = np.asarray(x).reshape(b, n, d)
-    d_down_w = np.einsum("bnd,bnh->dh", xf, d_pre)
-    d_down_b = d_pre.sum(axis=(0, 1))
+    d_pre = (d_z * gelu_grad(t["pre"])).reshape(b * n, dh)
+    xf = t["x"].reshape(b * n, d).astype(d_pre.dtype, copy=False)
+    d_down_w = xf.T @ d_pre
+    d_down_b = d_pre.sum(axis=0)
     dx += matmul(d_pre, params.down_w.T).reshape(b, h, w, d)
 
     grads = DsgaParams(

@@ -75,6 +75,17 @@ class PipelineConfig:
             raise ValidationError(str(exc)) from exc
         if sections:
             raise ValidationError(f"unknown config sections: {sorted(sections)}")
+        # the adapter and the audit read the token width from different
+        # sections; a config that sets both must agree with itself
+        if (
+            "embed_dim" in data.get("dsga", {})
+            and "embed_dim" in data.get("backbone", {})
+            and dsga_cfg.embed_dim != backbone.embed_dim
+        ):
+            raise ValidationError(
+                f"dsga.embed_dim = {dsga_cfg.embed_dim} differs from "
+                f"backbone.embed_dim = {backbone.embed_dim}"
+            )
         return cls(
             dsga=dsga_cfg,
             lora=lora_cfg,

@@ -6,7 +6,7 @@ is byte-identical across runs for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,10 +113,14 @@ def max_hybrid_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 @dataclass
 class GradcheckResult:
+    """One op's check. ``errors`` holds the worst error per checked input or
+    parameter name; ``max_rel_err`` is the largest of them."""
+
     op: str
     max_rel_err: float
     tolerance: float
     instances: int
+    errors: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -128,8 +132,17 @@ class GradcheckResult:
             "max_rel_err": self.max_rel_err,
             "tolerance": self.tolerance,
             "instances": self.instances,
+            "errors": dict(self.errors),
             "pass": self.passed,
         }
+
+
+def _gradcheck_result(op: str, errors: dict, instances: int) -> GradcheckResult:
+    return GradcheckResult(op, max(errors.values(), default=0.0), 1e-4, instances, errors)
+
+
+def _record(errors: dict, name: str, analytic, numeric) -> None:
+    errors[name] = max(errors.get(name, 0.0), max_hybrid_error(analytic, numeric))
 
 
 def _dsga_instance(rng: np.random.Generator):
@@ -156,7 +169,7 @@ def _dsga_instance(rng: np.random.Generator):
 
 def gradcheck_dsga(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> GradcheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors: dict[str, float] = {}
     for _ in range(instances):
         cfg, params, x, upstream = _dsga_instance(rng)
         dx, grads = dsga_vjp(x, params, cfg, upstream)
@@ -175,19 +188,19 @@ def gradcheck_dsga(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> 
 
             return f
 
-        worst = max(worst, max_hybrid_error(dx, finite_diff_grad(scalar_for("x"), x, h_step)))
+        _record(errors, "x", dx, finite_diff_grad(scalar_for("x"), x, h_step))
         for name, value in grads.named_arrays().items():
             fd = finite_diff_grad(scalar_for(name), getattr(params, name), h_step)
-            worst = max(worst, max_hybrid_error(value, fd))
+            _record(errors, name, value, fd)
         for name in ("theta_k", "w_p_raw", "w_n_raw"):
             fd = finite_diff_grad(scalar_for(name), np.array(getattr(params, name)), h_step)
-            worst = max(worst, max_hybrid_error(getattr(grads, name), fd))
-    return GradcheckResult("dsga_vjp", worst, 1e-4, instances)
+            _record(errors, name, getattr(grads, name), fd)
+    return _gradcheck_result("dsga_vjp", errors, instances)
 
 
 def gradcheck_lora(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> GradcheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors: dict[str, float] = {}
     for _ in range(instances):
         d = int(rng.integers(2, 9))
         k_dim = int(rng.integers(2, 9))
@@ -214,18 +227,15 @@ def gradcheck_lora(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> 
             )
             return float(np.sum(upstream * lora_apply(lay, x if xs is None else xs)))
 
-        worst = max(
-            worst,
-            max_hybrid_error(dx, finite_diff_grad(lambda t: with_factors(xs=t), x, h_step)),
-            max_hybrid_error(da, finite_diff_grad(lambda t: with_factors(a=t), layer.a, h_step)),
-            max_hybrid_error(db, finite_diff_grad(lambda t: with_factors(b=t), layer.b, h_step)),
-        )
-    return GradcheckResult("lora_vjp", worst, 1e-4, instances)
+        _record(errors, "x", dx, finite_diff_grad(lambda t: with_factors(xs=t), x, h_step))
+        _record(errors, "a", da, finite_diff_grad(lambda t: with_factors(a=t), layer.a, h_step))
+        _record(errors, "b", db, finite_diff_grad(lambda t: with_factors(b=t), layer.b, h_step))
+    return _gradcheck_result("lora_vjp", errors, instances)
 
 
 def gradcheck_loss(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> GradcheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors: dict[str, float] = {}
     hyper = LossHyper()
     for _ in range(instances):
         h = int(rng.integers(3, 9))
@@ -247,9 +257,8 @@ def gradcheck_loss(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> 
             t, _ = combined_loss(np.clip(p, 0.0, 1.0), gt, weights, hyper)
             return t
 
-        fd = finite_diff_grad(total, pred, h_step)
-        worst = max(worst, max_hybrid_error(analytic, fd))
-    return GradcheckResult("loss_grads", worst, 1e-4, instances)
+        _record(errors, "pred", analytic, finite_diff_grad(total, pred, h_step))
+    return _gradcheck_result("loss_grads", errors, instances)
 
 
 def gradcheck_all(seed: int = 0, instances: int = 10) -> list[GradcheckResult]:

@@ -676,6 +676,214 @@ class TestDsgaVjp:
         assert max_hybrid_error(grads.fusion_w, fd_fusion) <= 1e-4
 
 
+# ---------------------------------------------------------------------------
+# the forward pieces and the backward as they were before the running
+# reductions, the rank-by-rank propagate and the GEMM / sparse backward, kept
+# as oracles
+
+
+def stacked_dual_pool(zp):
+    """max, mean and argmax over a stack of the 9 reflect-padded offsets."""
+    _, h, w, _ = zp.shape
+    padded = zp[:, adapter._reflect_indices(h)][:, :, adapter._reflect_indices(w)]
+    stack = np.stack(
+        [padded[:, dy : dy + h, dx : dx + w] for dy in range(3) for dx in range(3)], axis=0
+    )
+    return stack.max(axis=0), stack.mean(axis=0), stack.argmax(axis=0)
+
+
+def gathered_propagate(graph, z):
+    """Self term plus the sum over k of a [B, N, k, Dh] weighted gather."""
+    b = z.shape[0]
+    out = graph.self_weights[..., None] * z
+    if graph.k > 0:
+        gathered = z[np.arange(b)[:, None, None], graph.neighbors]
+        out = out + np.sum(graph.edge_weights[..., None] * gathered, axis=2)
+    return out
+
+
+def reference_vjp(x, params, cfg, upstream):
+    """dsga_vjp's backward with einsum weight gradients, a [B, N, k, Dh]
+    gather and np.add.at scatters, on the same forward trace."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    t = adapter._forward_trace(x, params, cfg)
+    b, h, w, d = t["shape"]
+    n, dh, graph = t["n"], cfg.d_hidden, t["graph"]
+    dx = upstream.copy()
+    uf = upstream.reshape(b, n, d)
+    d_up_w = np.einsum("bnh,bnd->hd", t["dropped"], uf)
+    d_up_b = uf.sum(axis=(0, 1))
+    d_zp = (uf @ params.up_w.T).reshape(b, h, w, dh)
+    g = 0.5 * adapter.sigmoid(params.w_n_raw)
+    d_fr = (1.0 - g) * d_zp
+    d_pooled = g * d_zp
+    d_w_n = float(np.sum((t["pooled"] - t["fr"]) * d_zp)) * 0.5 * adapter.sigmoid_grad(
+        params.w_n_raw
+    )
+    sp = adapter.sigmoid(params.w_p_raw)
+    d_mx, d_av = sp * d_pooled, (1.0 - sp) * d_pooled
+    d_w_p = float(np.sum((t["mx"] - t["av"]) * d_pooled)) * adapter.sigmoid_grad(params.w_p_raw)
+    dpadded = np.zeros((b, h + 2, w + 2, dh))
+    for o, (dy, ddx) in enumerate(adapter._OFFSETS):
+        dpadded[:, dy : dy + h, ddx : ddx + w] += np.where(t["argmax"] == o, d_mx, 0.0) + d_av / 9.0
+    folded_rows = np.zeros((b, h, w + 2, dh))
+    np.add.at(folded_rows, (slice(None), adapter._reflect_indices(h)), dpadded)
+    d_pool = np.zeros((b, h, w, dh))
+    np.add.at(d_pool, (slice(None), slice(None), adapter._reflect_indices(w)), folded_rows)
+    d_f = (d_fr + d_pool).reshape(b, n, dh)
+    d_fusion_w = np.einsum("bnh,bng->hg", t["g"], d_f)
+    d_g = d_f @ params.fusion_w.T
+    d_z = graph.self_weights[..., None] * d_g
+    d_w_used, d_row_sum = np.zeros(graph.k), 0.0
+    row_sum = 1.0 + float(t["w_rank"][: graph.k].sum())
+    if graph.k > 0:
+        gathered = t["z"][np.arange(b)[:, None, None], graph.neighbors]
+        contrib = graph.edge_weights[..., None] * d_g[:, :, None, :]
+        flat_idx = (np.arange(b)[:, None, None] * n + graph.neighbors).reshape(-1)
+        np.add.at(d_z.reshape(b * n, dh), flat_idx, contrib.reshape(-1, dh))
+        d_edge = np.sum(gathered * d_g[:, :, None, :], axis=-1)
+        d_self = np.sum(t["z"] * d_g, axis=-1)
+        d_w_used = d_edge.sum(axis=(0, 1)) / row_sum
+        d_row_sum = -(
+            float(np.sum(d_edge * graph.edge_weights)) + float(np.sum(d_self * graph.self_weights))
+        ) / row_sum
+    d_w_rank = np.zeros_like(t["w_rank"])
+    d_w_rank[: graph.k] = d_w_used + d_row_sum
+    d_rank_logits = adapter.softmax_vjp(t["w_rank"], d_w_rank)
+    if params.rank_logits.size == 1:
+        d_rank_logits = np.zeros(1)
+    d_pre = d_z * adapter.gelu_grad(t["pre"])
+    d_down_w = np.einsum("bnd,bnh->dh", np.asarray(x).reshape(b, n, d), d_pre)
+    dx += (d_pre @ params.down_w.T).reshape(b, h, w, d)
+    return dx, adapter.DsgaParams(
+        down_w=d_down_w, down_b=d_pre.sum(axis=(0, 1)), up_w=d_up_w, up_b=d_up_b,
+        fusion_w=d_fusion_w, rank_logits=d_rank_logits, theta_k=0.0,
+        w_p_raw=d_w_p, w_n_raw=d_w_n,
+    )
+
+
+def tied_values(rng, shape, dtype):
+    """Few distinct levels with both signs of zero, so the pool's max and
+    argmax see ties in every window."""
+    v = rng.integers(-2, 3, size=shape) / 2.0 * rng.choice([-1.0, 1.0], size=shape)
+    return v.astype(dtype)
+
+
+GRID_SHAPES = [(1, 1, 1), (2, 1, 1), (1, 1, 9), (1, 9, 1), (1, 2, 2), (2, 2, 3),
+               (1, 3, 5), (2, 4, 4), (1, 6, 7)]
+
+
+class TestForwardPieceOracle:
+    def test_dual_pool_matches_stack(self):
+        rng = np.random.default_rng(70)
+        for b, h, w in GRID_SHAPES:
+            for dtype in (np.float32, np.float64):
+                for values in (rng.standard_normal((b, h, w, 5)).astype(dtype),
+                               tied_values(rng, (b, h, w, 5), dtype),
+                               rng.integers(-3, 4, size=(b, h, w, 5))):
+                    got = adapter._dual_pool_trace(values)
+                    for a, ref in zip(got, stacked_dual_pool(values)):
+                        assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
+
+    def test_propagate_matches_gather(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            b, n = int(rng.integers(1, 3)), int(rng.integers(1, 20))
+            k = int(rng.integers(0, n + 2))  # includes k >= N - 1 and N = 1
+            dtype = (np.float32, np.float64)[int(rng.integers(0, 2))]
+            z = tied_tokens(rng, b, n, 4).astype(dtype)
+            z[z == 0] *= -1.0  # zero tokens become -0
+            z[..., 0] = -0.0  # a -0 channel: the neighbour sum must start from +0
+            g = build_graph(similarity_matrix(z), k, rank_weights(rng.standard_normal(max(k, 1))))
+            got, ref = propagate(g, z), gathered_propagate(g, z)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("b, h, w", GRID_SHAPES)
+    def test_forward_bytes_match_reference_pieces(self, b, h, w, monkeypatch):
+        rng = np.random.default_rng(72 + h * w)
+        cfg = DsgaConfig(embed_dim=8, reduction_ratio=0.5, k_max=8, dropout_prob=0.0,
+                         mode="eval", seed=h * w)
+        for dtype in (np.float32, np.float64):
+            params = init_dsga_params(cfg, precision="single" if dtype == np.float32 else "double")
+            x = tied_tokens(rng, b, h * w, 8).reshape(b, h, w, 8).astype(dtype)
+            out, graph = dsga_forward(x, params, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(adapter, "propagate", gathered_propagate)
+                m.setattr(adapter, "_dual_pool_trace", stacked_dual_pool)
+                ref_out, ref_graph = dsga_forward(x, params, cfg)
+            assert np.array_equal(graph.neighbors, ref_graph.neighbors)
+            assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
+
+
+class TestVjpOracle:
+    @staticmethod
+    def assert_rel_close(got, ref, name):
+        got, ref = np.asarray(got), np.asarray(ref)
+        assert got.shape == ref.shape and got.dtype == np.float64, name
+        err = np.abs(got - ref).max(initial=0.0)
+        assert err <= 1e-12 * np.abs(ref).max(initial=0.0), (name, err)
+
+    def test_cotangents_match_reference(self):
+        rng = np.random.default_rng(73)
+        cases = [(shape, dtype) for shape in GRID_SHAPES for dtype in (np.float32, np.float64)]
+        for (b, h, w), dtype in cases:
+            d = int(rng.choice([8, 12]))
+            cfg = DsgaConfig(embed_dim=d, reduction_ratio=float(rng.choice([0.25, 0.5])),
+                             k_max=int(rng.integers(1, 9)), dropout_prob=0.0, mode="eval",
+                             seed=int(rng.integers(0, 2**31)))
+            params = init_dsga_params(cfg, precision="single" if dtype == np.float32 else "double")
+            params.theta_k = float(rng.uniform(-3.0, 6.0))  # k from 1 to k_max, often >= N - 1
+            params.w_p_raw, params.w_n_raw = (float(v) for v in rng.standard_normal(2))
+            x = tied_tokens(rng, b, h * w, d).reshape(b, h, w, d).astype(dtype)
+            upstream = rng.standard_normal(x.shape)
+            dx, grads = dsga_vjp(x, params, cfg, upstream)
+            ref_dx, ref = reference_vjp(x, params, cfg, upstream)
+            self.assert_rel_close(dx, ref_dx, "x")
+            for name, value in grads.named_arrays().items():
+                self.assert_rel_close(value, getattr(ref, name), name)
+            for name in ("theta_k", "w_p_raw", "w_n_raw"):
+                self.assert_rel_close(float(getattr(grads, name)), float(getattr(ref, name)), name)
+
+    def test_no_gather_or_offset_buffer(self, monkeypatch):
+        # 32x32x768 with k = k_max = 8: a [B, N, k, Dh] float64 gather is 8
+        # hidden-sized arrays and the 9-offset pool stack 9
+        cfg = DsgaConfig(embed_dim=768, k_max=8, dropout_prob=0.0, mode="eval", seed=74)
+        params = init_dsga_params(cfg)
+        rng = np.random.default_rng(74)
+        x = rng.standard_normal((1, 32, 32, 768)).astype(np.float32)
+        upstream = rng.standard_normal(x.shape)
+        hidden = 32 * 32 * cfg.d_hidden * 8
+
+        def traced(call):
+            """(tracemalloc peak above the start, result) of call()."""
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = call()
+                return tracemalloc.get_traced_memory()[1] - base, result
+            finally:
+                tracemalloc.stop()
+
+        peaks = {}
+        for name in ("propagate", "_dual_pool_trace"):
+            def stage(*args, _name=name, _fn=getattr(adapter, name)):
+                peaks[_name], result = traced(lambda: _fn(*args))
+                return result
+
+            monkeypatch.setattr(adapter, name, stage)
+        dsga_vjp(x, replace(params, theta_k=50.0), cfg, upstream)
+        monkeypatch.undo()
+        assert peaks["_dual_pool_trace"] < 9 * hidden
+        assert peaks["propagate"] < 8 * hidden
+        # nothing the backward holds grows with k by a hidden-sized array per rank
+        total = {
+            theta: traced(lambda: dsga_vjp(x, replace(params, theta_k=theta), cfg, upstream))[0]
+            for theta in (-50.0, 50.0)  # k = 1 and k = 8
+        }
+        assert adaptive_k(-50.0, 8) == 1 and adaptive_k(50.0, 8) == 8
+        assert total[50.0] - total[-50.0] < hidden
+
+
 class TestParameterCount:
     def test_vit_base_profile(self):
         cfg = DsgaConfig(embed_dim=768, reduction_ratio=0.25, k_max=8)

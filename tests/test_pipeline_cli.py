@@ -79,6 +79,27 @@ class TestConfig:
         with pytest.raises(ValidationError, match="must be an? (bool|int|number|string)"):
             PipelineConfig.from_dict(data)
 
+    def test_conflicting_embed_dims_rejected(self, tmp_path):
+        data = {"dsga": {"embed_dim": 16}, "backbone": {"embed_dim": 768}}
+        with pytest.raises(ValidationError, match="dsga.embed_dim = 16.*backbone.embed_dim = 768"):
+            PipelineConfig.from_dict(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["audit", "params", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("dsga_dim, backbone_dim", [
+        (None, None), (16, None), (None, 1024), (1024, 1024),
+    ])
+    def test_one_embed_dim_source_accepted(self, dsga_dim, backbone_dim):
+        data = {}
+        if dsga_dim is not None:
+            data["dsga"] = {"embed_dim": dsga_dim}
+        if backbone_dim is not None:
+            data["backbone"] = {"embed_dim": backbone_dim}
+        cfg = PipelineConfig.from_dict(data)
+        assert cfg.dsga.embed_dim == (dsga_dim or 768)
+        assert cfg.backbone.embed_dim == (backbone_dim or 768)
+
     def test_ints_accepted_for_floats(self):
         cfg = PipelineConfig.from_dict({"dsga": {"reduction_ratio": 1}, "loss": {"ema_beta": 0}})
         assert cfg.dsga.reduction_ratio == 1
@@ -112,6 +133,33 @@ class TestGradcheckHarness:
         assert [r.op for r in results] == ["dsga_vjp", "lora_vjp", "loss_grads"]
         for r in results:
             assert r.passed, (r.op, r.max_rel_err)
+            assert r.max_rel_err == max(r.errors.values())
+        assert list(results[0].errors) == [
+            "x", "down_w", "down_b", "up_w", "up_b", "fusion_w", "rank_logits",
+            "theta_k", "w_p_raw", "w_n_raw",
+        ]
+        assert list(results[1].errors) == ["x", "a", "b"]
+        assert list(results[2].errors) == ["pred"]
+
+    def test_error_reported_under_the_faulty_parameter(self, monkeypatch, tmp_path):
+        from dsga import pipeline
+
+        vjp = pipeline.dsga_vjp
+
+        def skewed_vjp(*args):
+            dx, grads = vjp(*args)
+            grads.fusion_w = grads.fusion_w * 1.05
+            return dx, grads
+
+        monkeypatch.setattr(pipeline, "dsga_vjp", skewed_vjp)
+        out = tmp_path / "report.json"
+        assert main(["gradcheck", "--instances", "2", "--out", str(out)]) == 3
+        ops = {op["op"]: op for op in json.loads(out.read_text())["ops"]}
+        errors = ops["dsga_vjp"]["errors"]
+        assert errors["fusion_w"] > 1e-3
+        assert ops["dsga_vjp"]["max_rel_err"] == errors["fusion_w"]
+        assert all(v <= 1e-4 for k, v in errors.items() if k != "fusion_w")
+        assert ops["lora_vjp"]["pass"] and ops["loss_grads"]["pass"]
 
     def test_corrupted_gradient_detected(self):
         good = np.array([1.0, 2.0, 3.0])
