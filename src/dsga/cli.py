@@ -10,6 +10,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, pipeline
-from .adapter import DsgaConfig, dsga_forward
+from .adapter import dsga_forward
 from .config import PipelineConfig, ValidationError
 from .lora import LoraLayer, lora_apply
 from .losses import (
@@ -31,7 +32,7 @@ from .losses import (
 )
 from .metrics import DetectionSet, detection_report, evaluate_saliency
 from .numerics import NumericalError
-from .prompts import PromptConfig, ScoredInstance, dedup_instances, generate_prompts
+from .prompts import PromptConfig, dedup_instances, generate_prompts
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -142,13 +143,9 @@ def cmd_loss_ema_sim(args) -> int:
                     "lambda_normalized": list(used.lams),
                 }
             )
-    if args.out:
-        with open(args.out, "w") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-    else:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         for row in rows:
-            sys.stdout.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
     return EXIT_OK
 
 

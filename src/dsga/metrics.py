@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prompts import ScoredInstance, pairwise_iou
+from .prompts import ScoredInstance, _as_mask, pairwise_iou
 from .prompts import mask_iou  # noqa: F401  (wrapped by perfbench/tracer.py; unused here)
 
 __all__ = [
@@ -41,13 +41,6 @@ NUM_THRESHOLDS = 256
 _THRESHOLDS = np.arange(NUM_THRESHOLDS) / 255.0
 
 
-def _as_binary(mask, name="mask") -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {mask.shape}")
-    return mask.astype(bool)
-
-
 def _as_saliency(sal) -> np.ndarray:
     sal = np.asarray(sal, dtype=np.float64)
     if sal.ndim != 2:
@@ -60,6 +53,14 @@ def _as_saliency(sal) -> np.ndarray:
 def _check_dims(a, b):
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+
+
+def _checked_pair(sal, gt) -> tuple[np.ndarray, np.ndarray]:
+    """The validated float64 saliency map and boolean ground truth."""
+    sal = _as_saliency(sal)
+    gt = _as_mask(gt, "gt")
+    _check_dims(sal, gt)
+    return sal, gt
 
 
 def _count_scores(tp, pp, ng: int, n: int, beta_sq: float = 0.3):
@@ -100,8 +101,8 @@ def _binary_scores(pred: np.ndarray, gt: np.ndarray, beta_sq: float = 0.3):
 
 
 def _checked_scores(pred, gt, name: str):
-    pred = _as_binary(pred, name)
-    gt = _as_binary(gt, "gt")
+    pred = _as_mask(pred, name)
+    gt = _as_mask(gt, "gt")
     _check_dims(pred, gt)
     return _binary_scores(pred, gt)
 
@@ -159,9 +160,7 @@ def _region_ssim(pred_q: np.ndarray, gt_q: np.ndarray) -> float:
 def s_measure(sal, gt, alpha: float = 0.5) -> float:
     """Structure measure alpha * S_object + (1 - alpha) * S_region, clamped
     to [0, 1]; empty/full ground truth degenerates to 1 - mean / mean."""
-    sal = _as_saliency(sal)
-    gt = _as_binary(gt, "gt")
-    _check_dims(sal, gt)
+    sal, gt = _checked_pair(sal, gt)
     y = float(gt.mean())
     if y == 0.0:
         return float(np.clip(1.0 - sal.mean(), 0.0, 1.0))
@@ -197,9 +196,7 @@ def s_measure(sal, gt, alpha: float = 0.5) -> float:
 
 def mae(sal, gt) -> float:
     """Mean absolute difference between the map and the binary ground truth."""
-    sal = _as_saliency(sal)
-    gt = _as_binary(gt, "gt")
-    _check_dims(sal, gt)
+    sal, gt = _checked_pair(sal, gt)
     return float(np.mean(np.abs(sal - gt.astype(np.float64))))
 
 
@@ -212,9 +209,7 @@ def _counts_above(levels: np.ndarray) -> np.ndarray:
 def threshold_sweep(sal, gt, beta_sq: float = 0.3) -> np.ndarray:
     """Binarize at t = i/255 for i in 0..255 (strict >) and report
     (precision, recall, F, E) per threshold as a [256, 4] array."""
-    sal = _as_saliency(sal)
-    gt = _as_binary(gt, "gt")
-    _check_dims(sal, gt)
+    sal, gt = _checked_pair(sal, gt)
     # a pixel's level is the number of thresholds strictly below it, so it
     # is foreground at threshold i exactly when its level exceeds i
     levels = np.searchsorted(_THRESHOLDS, sal.ravel())
@@ -258,9 +253,7 @@ class MetricReport:
 def evaluate_saliency(sal, gt, alpha: float = 0.5, beta_sq: float = 0.3) -> MetricReport:
     """Full per-image report: S, mean/max/adaptive F and E, MAE, and the
     256-point threshold curve."""
-    sal = _as_saliency(sal)
-    gt = _as_binary(gt, "gt")
-    _check_dims(sal, gt)
+    sal, gt = _checked_pair(sal, gt)
     curve = threshold_sweep(sal, gt, beta_sq)
     _, _, f_adp, e_adp = _binary_scores(sal > adaptive_threshold(sal), gt, beta_sq)
     return MetricReport(
@@ -282,7 +275,7 @@ class DetectionSet:
     ground_truths: list[np.ndarray]
 
     def __post_init__(self) -> None:
-        self.ground_truths = [_as_binary(g, "ground truth") for g in self.ground_truths]
+        self.ground_truths = [_as_mask(g, "ground truth") for g in self.ground_truths]
         shapes = {g.shape for g in self.ground_truths}
         shapes |= {p.mask.shape for p in self.predictions}
         if len(shapes) > 1:

@@ -72,20 +72,29 @@ class ScoredInstance:
     source_prompt: Optional[PointPrompt] = None
 
     def __post_init__(self) -> None:
-        self.mask = np.asarray(self.mask).astype(bool)
-        if self.mask.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {self.mask.shape}")
+        self.mask = _as_mask(self.mask)
         if not self.mask.any():
             raise ValueError("instance mask is empty")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
 
-def _as_mask(mask) -> np.ndarray:
+def _as_mask(mask, name: str = "mask") -> np.ndarray:
+    """The 2-D boolean mask (nonzero = foreground) of an array-like."""
     mask = np.asarray(mask)
     if mask.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
+        raise ValueError(f"{name} must be 2-D, got shape {mask.shape}")
     return mask.astype(bool)
+
+
+def _cell_sums(a: np.ndarray, g: int, axes=(0, 1)) -> np.ndarray:
+    """Integer sums of a 2-D array over runs of g along ``axes``; over both
+    axes, the cells of the ceil(H/g) x ceil(W/g) grid. Edge runs may be
+    shorter than g."""
+    for axis in axes:
+        starts = np.arange(0, a.shape[axis], g)
+        a = np.add.reduceat(a, starts, axis=axis, dtype=np.int64)
+    return a
 
 
 def grid_saliency(mask: np.ndarray, g: int) -> np.ndarray:
@@ -93,15 +102,7 @@ def grid_saliency(mask: np.ndarray, g: int) -> np.ndarray:
     mask = _as_mask(mask)
     if g < 1:
         raise ValueError(f"grid size must be >= 1, got {g}")
-    h, w = mask.shape
-    rows = -(-h // g)
-    cols = -(-w // g)
-    rho = np.zeros((rows, cols), dtype=np.float64)
-    for i in range(rows):
-        for j in range(cols):
-            cell = mask[i * g : min((i + 1) * g, h), j * g : min((j + 1) * g, w)]
-            rho[i, j] = cell.sum() / cell.size
-    return rho
+    return _cell_sums(mask, g) / _cell_sums(np.ones(mask.shape, bool), g)
 
 
 def cell_centroid(
@@ -124,37 +125,39 @@ def cell_centroid(
 def generate_prompts(mask: np.ndarray, cfg: PromptConfig) -> list[PointPrompt]:
     """One prompt per cell with rho above the threshold, topped up to n_min
     from the densest remaining nonzero cells and capped at n_max; output is
-    sorted by descending confidence, ties by (cell row, cell column)."""
+    sorted by descending confidence, ties by (cell row, cell column).
+
+    Every cell statistic is a cell sum: rho is count / size, and a centroid
+    is floor(sum of cell-local coordinates / count) plus the cell origin,
+    which equals the floor of the mean (the sums are exact integers). The
+    coordinate sums weight the mask summed along the other axis, so no
+    temporary is as large as the mask."""
     mask = _as_mask(mask)
     g = cfg.grid_size
-    rho = grid_saliency(mask, g)
-    rows, cols = rho.shape
-
-    # admission order: descending rho, ties by (row, col)
-    cells = [(i, j) for i in range(rows) for j in range(cols)]
-    cells.sort(key=lambda ij: (-rho[ij], ij))
-
-    admitted = [ij for ij in cells if rho[ij] > cfg.saliency_threshold]
-    if len(admitted) < cfg.n_min:
-        extra = [ij for ij in cells if 0.0 < rho[ij] <= cfg.saliency_threshold]
-        admitted.extend(extra[: cfg.n_min - len(admitted)])
-        admitted.sort(key=lambda ij: (-rho[ij], ij))
-    admitted = admitted[: cfg.n_max]
-
     h, w = mask.shape
-    prompts = []
-    for i, j in admitted:
-        rect = (i * g, j * g, min((i + 1) * g, h), min((j + 1) * g, w))
-        center = cell_centroid(mask, rect)
-        if center is None:
-            continue  # unreachable for rho > 0; kept as a guard
-        prompts.append(
-            PointPrompt(
-                x=center[0], y=center[1], confidence=float(rho[i, j]), source_cell=(i, j)
-            )
+    by_row = _cell_sums(mask, g, axes=(0,))  # [cell rows, W]
+    by_col = _cell_sums(mask, g, axes=(1,))  # [H, cell columns]
+    count = _cell_sums(by_row, g, axes=(1,))
+    rho = count / _cell_sums(np.ones(mask.shape, bool), g)
+
+    # admission is one prefix of the cells in descending rho, ties by
+    # (row, col): the cells above the threshold, topped up to n_min with
+    # nonzero cells (which rank next), capped at n_max
+    order = np.argsort(-rho, axis=None, kind="stable")
+    n_above = int(np.count_nonzero(rho > cfg.saliency_threshold))
+    n_keep = max(n_above, min(cfg.n_min, int(np.count_nonzero(count))))
+    cells = np.unravel_index(order[: min(n_keep, cfg.n_max)], rho.shape)
+
+    n = count[cells]
+    ys = _cell_sums(by_col * (np.arange(h) % g)[:, None], g, axes=(0,))[cells] // n
+    xs = _cell_sums(by_row * (np.arange(w) % g), g, axes=(1,))[cells] // n
+    ys, xs = ys + cells[0] * g, xs + cells[1] * g
+    return [
+        PointPrompt(x=x, y=y, confidence=conf, source_cell=(i, j))
+        for x, y, conf, i, j in zip(
+            xs.tolist(), ys.tolist(), rho[cells].tolist(), *(c.tolist() for c in cells)
         )
-    prompts.sort(key=lambda p: (-p.confidence, p.source_cell))
-    return prompts
+    ]
 
 
 def _incidence(masks: list[np.ndarray], size: int):

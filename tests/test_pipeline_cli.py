@@ -369,16 +369,19 @@ class TestCli:
         assert set(report) == {"total", "focal", "dice", "boundary"}
         assert report["dice"] == 0.0
 
-    def test_ema_sim_cli(self, tmp_path):
+    def test_ema_sim_cli(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         trace.write_text(
             "\n".join(json.dumps({"contributions": [1.0, 2.0, 3.0]}) for _ in range(5))
         )
-        code = main([
-            "loss", "ema-sim", "--trace", str(trace), "--beta", "0.5",
-            "--mode", "raw", "--out", str(tmp_path / "traj.jsonl"),
-        ])
+        args = ["loss", "ema-sim", "--trace", str(trace), "--beta", "0.5", "--mode", "raw"]
+        capsys.readouterr()
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        code = main(args + ["--out", str(tmp_path / "traj.jsonl")])
         assert code == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "traj.jsonl").read_bytes() == stdout.encode()
         rows = [json.loads(l) for l in (tmp_path / "traj.jsonl").read_text().splitlines()]
         assert len(rows) == 5
         lam0 = np.ones(3)

@@ -379,3 +379,124 @@ class TestPairwiseIouOracle:
                 kept = dedup_instances(cands, tau_o=tau)
                 ref = reference_dedup(cands, tau)
                 assert [id(k) for k in kept] == [id(k) for k in ref]
+
+
+# reference oracles: the per-cell saliency loop and the prompt generator that
+# called cell_centroid once per admitted cell and sorted twice, which the
+# grid-cell sums replaced
+
+
+def reference_grid_saliency(mask, g):
+    mask = np.asarray(mask).astype(bool)
+    h, w = mask.shape
+    rows, cols = -(-h // g), -(-w // g)
+    rho = np.zeros((rows, cols), dtype=np.float64)
+    for i in range(rows):
+        for j in range(cols):
+            cell = mask[i * g : min((i + 1) * g, h), j * g : min((j + 1) * g, w)]
+            rho[i, j] = cell.sum() / cell.size
+    return rho
+
+
+def reference_generate_prompts(mask, cfg):
+    mask = np.asarray(mask).astype(bool)
+    g = cfg.grid_size
+    rho = reference_grid_saliency(mask, g)
+    rows, cols = rho.shape
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    cells.sort(key=lambda ij: (-rho[ij], ij))
+    admitted = [ij for ij in cells if rho[ij] > cfg.saliency_threshold]
+    if len(admitted) < cfg.n_min:
+        extra = [ij for ij in cells if 0.0 < rho[ij] <= cfg.saliency_threshold]
+        admitted.extend(extra[: cfg.n_min - len(admitted)])
+        admitted.sort(key=lambda ij: (-rho[ij], ij))
+    admitted = admitted[: cfg.n_max]
+    h, w = mask.shape
+    prompts = []
+    for i, j in admitted:
+        rect = (i * g, j * g, min((i + 1) * g, h), min((j + 1) * g, w))
+        center = cell_centroid(mask, rect)
+        if center is None:
+            continue
+        prompts.append((center[0], center[1], float(rho[i, j]), (i, j)))
+    prompts.sort(key=lambda p: (-p[2], p[3]))
+    return prompts
+
+
+def prompt_tuples(prompts):
+    out = [(p.x, p.y, p.confidence, p.source_cell) for p in prompts]
+    for x, y, conf, (i, j) in out:
+        assert all(type(v) is int for v in (x, y, i, j)) and type(conf) is float
+    return out
+
+
+def assert_prompt_stage_matches(mask, cfg):
+    rho = grid_saliency(mask, cfg.grid_size)
+    ref_rho = reference_grid_saliency(mask, cfg.grid_size)
+    assert rho.shape == ref_rho.shape and rho.dtype == np.float64
+    assert np.array_equal(rho, ref_rho)
+    assert prompt_tuples(generate_prompts(mask, cfg)) == reference_generate_prompts(mask, cfg)
+
+
+class TestPromptStageOracle:
+    THRESHOLDS = (0.0, 0.05, 0.25, 0.5, 1.0)
+
+    def configs(self, g):
+        for t in self.THRESHOLDS:
+            yield PromptConfig(grid_size=g, saliency_threshold=t)
+            yield PromptConfig(grid_size=g, saliency_threshold=t, n_min=3, n_max=5)
+            yield PromptConfig(grid_size=g, saliency_threshold=t, n_min=50, n_max=1024)
+            yield PromptConfig(grid_size=g, saliency_threshold=t, n_min=1, n_max=1)
+
+    def test_seeded_random_masks(self):
+        rng = np.random.default_rng(80)
+        for trial in range(300):
+            h, w = (int(v) for v in rng.integers(1, 34, size=2))
+            g = int(rng.integers(1, max(h, w) + 4))
+            if trial % 3 == 0:  # blocky masks: many cells tie at rho 0, 1/2 or 1
+                mask = np.kron(rng.random((h, w)) < 0.5, np.ones((2, 2), bool))[:h, :w]
+            else:
+                mask = rng.random((h, w)) < rng.random()
+            t = self.THRESHOLDS[trial % len(self.THRESHOLDS)]
+            n_min = int(rng.integers(1, 12))
+            n_max = int(rng.integers(n_min, 20))
+            cfg = PromptConfig(grid_size=g, saliency_threshold=t, n_min=n_min, n_max=n_max)
+            assert_prompt_stage_matches(mask, cfg)
+
+    def test_empty_full_and_single_pixel(self):
+        rng = np.random.default_rng(81)
+        for shape in [(7, 9), (16, 16), (1, 1), (1, 13), (13, 1)]:
+            single = np.zeros(shape, bool)
+            single[int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1]))] = True
+            for mask in (np.zeros(shape, bool), np.ones(shape, bool), single):
+                for g in (1, 2, 3, 5, 20):
+                    for cfg in self.configs(g):
+                        assert_prompt_stage_matches(mask, cfg)
+
+    def test_thin_masks_and_uneven_edge_cells(self):
+        rng = np.random.default_rng(82)
+        for shape in [(1, 37), (37, 1), (1, 1), (11, 7), (9, 23)]:
+            mask = rng.random(shape) < 0.6
+            for g in (1, 2, 4, 6, 10, 40):  # 40 exceeds every side
+                for cfg in self.configs(g):
+                    assert_prompt_stage_matches(mask, cfg)
+
+    def test_rho_ties_ranked_by_row_then_column(self):
+        # every nonzero cell of a 3x3 grid at g = 2 holds exactly one pixel
+        mask = np.zeros((6, 6), bool)
+        mask[[0, 0, 2, 3, 5], [1, 4, 3, 0, 5]] = True
+        cfg = PromptConfig(grid_size=2, saliency_threshold=0.0, n_min=1, n_max=4)
+        assert [p.source_cell for p in generate_prompts(mask, cfg)] == [
+            (0, 0), (0, 2), (1, 0), (1, 1)
+        ]
+        assert_prompt_stage_matches(mask, cfg)
+
+    def test_top_up_skips_empty_cells_and_cap_applies(self):
+        mask = np.zeros((8, 8), bool)
+        mask[0, 0] = mask[5, 6] = True  # two cells at rho 1/16, fourteen empty
+        above = PromptConfig(grid_size=2, saliency_threshold=1.0, n_min=10, n_max=10)
+        assert [p.source_cell for p in generate_prompts(mask, above)] == [(0, 0), (2, 3)]
+        capped = PromptConfig(grid_size=2, saliency_threshold=0.0, n_min=1, n_max=1)
+        assert [p.source_cell for p in generate_prompts(mask, capped)] == [(0, 0)]
+        for cfg in (above, capped):
+            assert_prompt_stage_matches(mask, cfg)
