@@ -20,6 +20,15 @@ keeps each row's k largest entries found by a partition, and drops the block.
 Neighbors are ordered by descending similarity, ties by lowest index, which
 is exactly a stable sort of the full row.
 
+Precision: every stage from the down-projection to the up-projection (Z, S,
+propagation, fusion, both pools, the gated residual, dropout) runs in the
+dtype of the down-projection's output, so float32 input with float32 params
+stays float32 throughout and only ``out`` is cast back to x's dtype. The
+selection key is S in that dtype; widening it to float64 would be exact and
+keep its order, so it would pick the same neighbors. The graph's rank
+weights stay float64 for the rank-weight softmax VJP and the float64
+cotangents; propagate casts them to the hidden dtype where it uses them.
+
 Discrete selections (top-k membership, the chosen neighbor count k, the
 floor inside adaptive_k, max-pool argmax) are treated as constants of the
 forward pass: they receive zero gradient.
@@ -281,8 +290,10 @@ def _clamp_k(k: int, n: int, weights: np.ndarray) -> int:
 
 def _top_k_rows(key: np.ndarray, row0: int, k: int) -> np.ndarray:
     """Neighbor indices [B, R, k] of the similarity rows row0..row0+R-1 held in
-    ``key`` (float64, overwritten): descending value, ties by lowest index,
-    the row's own node excluded. Non-finite similarities raise."""
+    ``key`` (any float dtype, overwritten): descending value, ties by lowest
+    index, the row's own node excluded. Non-finite similarities raise.
+    Widening the key to float64 is exact and keeps its order, so the
+    selection is the same in the key's own dtype."""
     check_finite(key, "similarity")
     b, r, n = key.shape
     if k == 0:
@@ -334,7 +345,9 @@ def build_graph(s: np.ndarray, k: int, weights: np.ndarray) -> SimilarityGraph:
         raise ValueError(f"expected square [B, N, N] similarities, got {s.shape}")
     weights = np.asarray(weights, dtype=np.float64)
     k_eff = _clamp_k(k, s.shape[1], weights)
-    return _rank_graph(_top_k_rows(s.astype(np.float64), 0, k_eff), weights)
+    # a float copy in s's own precision (integer inputs promote to float)
+    key = s.astype(np.promote_types(s.dtype, np.float32))
+    return _rank_graph(_top_k_rows(key, 0, k_eff), weights)
 
 
 def _streamed_graph(z: np.ndarray, k: int, weights: np.ndarray) -> SimilarityGraph:
@@ -350,8 +363,7 @@ def _streamed_graph(z: np.ndarray, k: int, weights: np.ndarray) -> SimilarityGra
         # a lone last row joins this block: a one-row product takes another
         # BLAS path (gemv) whose rounding can differ from the full matrix's
         r1 = r0 + rows if r0 + rows < n - 1 else n
-        key = _similarity(zh[:, r0:r1], zh, scale).astype(np.float64, copy=False)
-        neighbors[:, r0:r1] = _top_k_rows(key, r0, k_eff)
+        neighbors[:, r0:r1] = _top_k_rows(_similarity(zh[:, r0:r1], zh, scale), r0, k_eff)
     return _rank_graph(neighbors, weights)
 
 
@@ -363,14 +375,16 @@ def propagate(graph: SimilarityGraph, z: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"graph is {graph.batch}x{graph.num_nodes} nodes, features are {b}x{n}"
         )
-    out = graph.self_weights[..., None] * z
+    # the graph's weights are float64; cast them at use so the sum stays in z's dtype
+    out = graph.self_weights.astype(z.dtype, copy=False)[..., None] * z
     if graph.k > 0:
         # rank by rank, in rank order from +0: the same sums as reducing a
         # [B, N, k, Dh] gather over k, without holding it
+        edge_weights = graph.edge_weights.astype(z.dtype, copy=False)
         bi = np.arange(b)[:, None]
-        acc = np.zeros(out.shape, np.result_type(graph.edge_weights, z))
+        acc = np.zeros(out.shape, z.dtype)
         for r in range(graph.k):
-            acc += graph.edge_weights[..., r, None] * z[bi, graph.neighbors[..., r]]
+            acc += edge_weights[..., r, None] * z[bi, graph.neighbors[..., r]]
         out += acc
     return out
 
@@ -493,8 +507,9 @@ def _forward_trace(x, params: DsgaParams, cfg: DsgaConfig):
     check_finite(x, "input")
 
     t = {"x": x, "shape": (b, h, w, d), "n": n}
-    xf = x.reshape(b, n, d)
-    t["pre"] = check_finite(matmul(xf, params.down_w) + params.down_b, "down-projection")
+    # a strided x is copied by the reshape; the copy lives only for this product
+    pre = matmul(x.reshape(b, n, d), params.down_w) + params.down_b
+    t["pre"] = check_finite(pre, "down-projection")
     t["z"] = gelu(t["pre"])
     k = adaptive_k(params.theta_k, cfg.k_max)
     t["w_rank"] = rank_weights(params.rank_logits)
@@ -513,10 +528,15 @@ def _forward_trace(x, params: DsgaParams, cfg: DsgaConfig):
     else:
         scale = None
     t["drop_scale"] = scale
-    t["dropped"] = flat if scale is None else flat * scale
-    delta = (matmul(t["dropped"], params.up_w) + params.up_b).reshape(b, h, w, d)
-    # graph weights are built in float64; keep the residual sum in the input dtype
-    t["out"] = check_finite(delta.astype(x.dtype, copy=False) + x, "up-projection")
+    # the float64 scale would widen the hidden path; 1/(1-p) rounds once to its dtype
+    t["dropped"] = flat if scale is None else flat * scale.astype(flat.dtype, copy=False)
+    # bias and residual are added in place: no further [B, N, D] temporaries
+    delta = matmul(t["dropped"], params.up_w)
+    delta += params.up_b
+    # params of the other precision set the hidden dtype; the residual sum stays in x's
+    out = delta.reshape(b, h, w, d).astype(x.dtype, copy=False)
+    out += x
+    t["out"] = check_finite(out, "up-projection")
     return t
 
 

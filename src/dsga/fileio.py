@@ -15,6 +15,7 @@ Instance manifests: JSON object with an ``"instances"`` list of
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 _TNS_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+# PNM header lexing: runs of whitespace (bytes.isspace) and of anything else
+_SPACES = re.compile(rb"\s*")
+_TOKEN = re.compile(rb"\S*")
 
 
 class FileFormatError(Exception):
@@ -82,28 +86,27 @@ def read_tns(path) -> np.ndarray:
     return arr
 
 
-def _read_pnm_header(fh, path) -> tuple[bytes, int, int, int]:
-    """Parse magic, width, height (and maxval for PGM), skipping # comments."""
-    magic = fh.read(2)
+def _read_pnm_header(data: bytes, path) -> tuple[bytes, int, int, int, int]:
+    """Parse magic, width, height (and maxval for PGM) from the file's bytes,
+    skipping # comments; also returns the payload offset, one whitespace
+    byte past the last header token."""
+    magic = data[:2]
     if magic not in (b"P5", b"P1"):
         raise FileFormatError(f"{path}: unsupported PNM magic {magic!r}")
     tokens = []
     want = 3 if magic == b"P5" else 2
+    pos = 2
     while len(tokens) < want:
-        ch = fh.read(1)
-        if not ch:
+        pos = _SPACES.match(data, pos).end()
+        if pos == len(data):
             raise FileFormatError(f"{path}: truncated PNM header")
-        if ch == b"#":
-            while ch not in (b"\n", b""):
-                ch = fh.read(1)
+        if data[pos : pos + 1] == b"#":
+            eol = data.find(b"\n", pos)
+            pos = len(data) if eol < 0 else eol + 1
             continue
-        if ch.isspace():
-            continue
-        tok = b""
-        while ch and not ch.isspace():
-            tok += ch
-            ch = fh.read(1)
-        tokens.append(tok)
+        end = _TOKEN.match(data, pos).end()
+        tokens.append(data[pos:end])
+        pos = end + 1
     try:
         nums = [int(t) for t in tokens]
     except ValueError as exc:
@@ -114,25 +117,26 @@ def _read_pnm_header(fh, path) -> tuple[bytes, int, int, int]:
         (w, h), maxval = nums, 1
     if w <= 0 or h <= 0:
         raise FileFormatError(f"{path}: bad PNM dimensions {w}x{h}")
-    return magic, w, h, maxval
+    return magic, w, h, maxval, min(pos, len(data))
 
 
 def _read_pgm_gray(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic, w, h, maxval = _read_pnm_header(fh, path)
-        if magic == b"P1":
-            text = fh.read().decode("ascii", errors="replace")
-            bits = [c for c in text if c in "01"]
-            if len(bits) < w * h:
-                raise FileFormatError(f"{path}: PBM has too few pixels")
-            arr = np.array([int(c) for c in bits[: w * h]], dtype=np.uint8)
-            return arr.reshape(h, w) * 255
-        if maxval != 255:
-            raise FileFormatError(f"{path}: only maxval 255 PGM supported, got {maxval}")
-        raw = fh.read(w * h)
-        if len(raw) != w * h:
-            raise FileFormatError(f"{path}: PGM payload truncated")
-        return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).copy()
+    """Gray levels [H, W] uint8 of a PGM or PBM file (PBM 1 -> 255), read-only:
+    a PGM payload is a view of the file's bytes, not a copy."""
+    with open(path, "rb", buffering=0) as fh:  # one read of the whole file
+        data = fh.read()
+    magic, w, h, maxval, offset = _read_pnm_header(data, path)
+    if magic == b"P1":
+        text = np.frombuffer(data, dtype=np.uint8, offset=offset)
+        bits = text[(text == ord("0")) | (text == ord("1"))]
+        if bits.size < w * h:
+            raise FileFormatError(f"{path}: PBM has too few pixels")
+        return ((bits[: w * h] - ord("0")) * 255).reshape(h, w)
+    if maxval != 255:
+        raise FileFormatError(f"{path}: only maxval 255 PGM supported, got {maxval}")
+    if len(data) - offset < w * h:
+        raise FileFormatError(f"{path}: PGM payload truncated")
+    return np.frombuffer(data, dtype=np.uint8, count=w * h, offset=offset).reshape(h, w)
 
 
 def read_mask(path) -> np.ndarray:

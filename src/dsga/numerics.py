@@ -10,6 +10,7 @@ no-NaN/no-Inf invariant holds at the boundary.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -60,9 +61,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact GELU x * Phi(x) using the Gaussian CDF (not the tanh approximation)."""
+    """Exact GELU x * Phi(x) using the Gaussian CDF (not the tanh approximation),
+    in the dtype of ``x``: the Python-float constants do not promote it."""
     x = np.asarray(x)
-    return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:

@@ -80,11 +80,12 @@ class ScoredInstance:
 
 
 def _as_mask(mask, name: str = "mask") -> np.ndarray:
-    """The 2-D boolean mask (nonzero = foreground) of an array-like."""
-    mask = np.asarray(mask)
+    """The 2-D boolean mask (nonzero = foreground) of an array-like; a bool
+    array comes back as is, not copied."""
+    mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {mask.shape}")
-    return mask.astype(bool)
+    return mask
 
 
 def _cell_sums(a: np.ndarray, g: int, axes=(0, 1)) -> np.ndarray:

@@ -253,11 +253,12 @@ class TestTopKOracle:
         rng = np.random.default_rng(63)
         streamed_vs_argsort(monkeypatch, tied_tokens(rng, 1, 1500, 6), 6, np.ones(6))
 
-    def test_forward_bytes_unchanged_on_tied_field(self, monkeypatch):
+    @pytest.mark.parametrize("precision, dtype", [("single", np.float32), ("double", np.float64)])
+    def test_forward_bytes_unchanged_on_tied_field(self, precision, dtype, monkeypatch):
         cfg = DsgaConfig(embed_dim=32, k_max=8, dropout_prob=0.0, mode="eval", seed=64)
-        params = init_dsga_params(cfg)
+        params = init_dsga_params(cfg, precision=precision)
         rng = np.random.default_rng(64)
-        x = rng.standard_normal((1, 16, 16, 32)).astype(np.float32)
+        x = rng.standard_normal((1, 16, 16, 32)).astype(dtype)
         x[0, 3:9, 5:12] = x[0, 3, 5]  # a flat rectangle of identical tokens
         x[0, 12:, :4] = x[0, 0, 0]
         out, graph = dsga_forward(x, params, cfg)
@@ -272,6 +273,28 @@ class TestTopKOracle:
         ref_out, ref_graph = dsga_forward(x, params, cfg)
         assert np.array_equal(graph.neighbors, ref_graph.neighbors)
         assert out.tobytes() == ref_out.tobytes()
+
+    @pytest.mark.parametrize("rows", [2, 3, 5, None])
+    def test_float32_key_selects_as_its_float64_widening(self, rows, monkeypatch):
+        # widening is exact and keeps order, so selecting on the float32 blocks
+        # and on their float64 copies gives the same neighbours, ties included
+        rng = np.random.default_rng(67 + (rows or 0))
+        similarity = adapter._similarity
+        for _ in range(20):
+            b, n = int(rng.integers(1, 3)), int(rng.integers(2, 40))
+            k = int(rng.integers(1, n + 2))
+            z = tied_tokens(rng, b, n, 4).astype(np.float32)
+            weights = np.ones(k)
+            with monkeypatch.context() as m:
+                set_block_rows(m, rows, b, n)
+                blocks = record_blocks(m)
+                g32 = adapter._streamed_graph(z, k, weights)
+                m.setattr(adapter, "_similarity", lambda *a: similarity(*a).astype(np.float64))
+                g64 = adapter._streamed_graph(z, k, weights)
+            s = np.concatenate(blocks, axis=1)
+            assert s.dtype == np.float32 and (rows is None or len(blocks) > 1 or n <= rows + 1)
+            assert np.array_equal(g32.neighbors, g64.neighbors)
+            assert np.array_equal(g32.neighbors, argsort_neighbors(s, k))
 
     def test_non_finite_similarity_raises(self, monkeypatch):
         cfg = DsgaConfig(embed_dim=8, k_max=3, dropout_prob=0.0, mode="eval", seed=65)
@@ -693,12 +716,13 @@ def stacked_dual_pool(zp):
 
 
 def gathered_propagate(graph, z):
-    """Self term plus the sum over k of a [B, N, k, Dh] weighted gather."""
+    """Self term plus the sum over k of a [B, N, k, Dh] weighted gather, with
+    the graph's weights cast to z's dtype as propagate casts them."""
     b = z.shape[0]
-    out = graph.self_weights[..., None] * z
+    out = graph.self_weights.astype(z.dtype)[..., None] * z
     if graph.k > 0:
         gathered = z[np.arange(b)[:, None, None], graph.neighbors]
-        out = out + np.sum(graph.edge_weights[..., None] * gathered, axis=2)
+        out = out + np.sum(graph.edge_weights.astype(z.dtype)[..., None] * gathered, axis=2)
     return out
 
 
@@ -813,6 +837,43 @@ class TestForwardPieceOracle:
                 ref_out, ref_graph = dsga_forward(x, params, cfg)
             assert np.array_equal(graph.neighbors, ref_graph.neighbors)
             assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
+
+
+class TestPrecision:
+    STAGES = ("pre", "z", "g", "f", "fr", "mx", "av", "pooled", "zp", "dropped", "out")
+
+    @pytest.mark.parametrize("precision, dtype", [("single", np.float32), ("double", np.float64)])
+    @pytest.mark.parametrize("mode, prob", [("eval", 0.0), ("train", 0.3)])
+    def test_every_stage_in_the_working_dtype(self, precision, dtype, mode, prob):
+        cfg = DsgaConfig(embed_dim=16, k_max=4, dropout_prob=prob, mode=mode, seed=76)
+        params = init_dsga_params(cfg, precision=precision)
+        x = np.random.default_rng(76).standard_normal((2, 5, 6, 16)).astype(dtype)
+        t = adapter._forward_trace(x, params, cfg)
+        assert {name: t[name].dtype for name in self.STAGES} == dict.fromkeys(
+            self.STAGES, np.dtype(dtype)
+        )
+        assert (mode == "eval") == (t["drop_scale"] is None)
+        assert mode == "eval" or np.any(t["dropped"] == 0)
+        # the graph's weights stay float64 for the rank-weight softmax VJP
+        assert t["graph"].edge_weights.dtype == t["graph"].self_weights.dtype == np.float64
+
+    def test_single_forward_holds_no_float64_token_array(self):
+        # a float64 [B, N, D] array at 64x64x768 is 25 MB; without one the
+        # single-precision forward peaks at about 48 MB, so 60 MB leaves no
+        # room for one (and stays under the 75 MB that the up-projection's
+        # float64 temporaries alone would exceed)
+        cfg = DsgaConfig(embed_dim=768, k_max=8, dropout_prob=0.0, mode="eval", seed=77)
+        params = init_dsga_params(cfg)
+        x = np.random.default_rng(77).standard_normal((1, 64, 64, 768)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, _ = dsga_forward(x, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.float32
+        assert peak <= 60e6, peak / 1e6
 
 
 class TestVjpOracle:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dsga import fileio
 from dsga.fileio import (
     FileFormatError,
     read_mask,
@@ -117,3 +118,119 @@ class TestSaliency:
         write_tns(path, np.zeros((2, 2, 2)))
         with pytest.raises(FileFormatError, match="rank 2"):
             read_saliency(path)
+
+
+# the PNM reader as it was before it parsed one read of the file (one byte
+# per read(1) call, a Python list for PBM pixels), kept as the oracle
+
+
+def streamed_pnm_header(fh, path):
+    magic = fh.read(2)
+    if magic not in (b"P5", b"P1"):
+        raise FileFormatError(f"{path}: unsupported PNM magic {magic!r}")
+    tokens = []
+    want = 3 if magic == b"P5" else 2
+    while len(tokens) < want:
+        ch = fh.read(1)
+        if not ch:
+            raise FileFormatError(f"{path}: truncated PNM header")
+        if ch == b"#":
+            while ch not in (b"\n", b""):
+                ch = fh.read(1)
+            continue
+        if ch.isspace():
+            continue
+        tok = b""
+        while ch and not ch.isspace():
+            tok += ch
+            ch = fh.read(1)
+        tokens.append(tok)
+    try:
+        nums = [int(t) for t in tokens]
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad PNM header tokens {tokens}") from exc
+    if magic == b"P5":
+        w, h, maxval = nums
+    else:
+        (w, h), maxval = nums, 1
+    if w <= 0 or h <= 0:
+        raise FileFormatError(f"{path}: bad PNM dimensions {w}x{h}")
+    return magic, w, h, maxval
+
+
+def streamed_pgm_gray(path):
+    with open(path, "rb") as fh:
+        magic, w, h, maxval = streamed_pnm_header(fh, path)
+        if magic == b"P1":
+            text = fh.read().decode("ascii", errors="replace")
+            bits = [c for c in text if c in "01"]
+            if len(bits) < w * h:
+                raise FileFormatError(f"{path}: PBM has too few pixels")
+            arr = np.array([int(c) for c in bits[: w * h]], dtype=np.uint8)
+            return arr.reshape(h, w) * 255
+        if maxval != 255:
+            raise FileFormatError(f"{path}: only maxval 255 PGM supported, got {maxval}")
+        raw = fh.read(w * h)
+        if len(raw) != w * h:
+            raise FileFormatError(f"{path}: PGM payload truncated")
+        return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).copy()
+
+
+def pnm_variants(rng):
+    """Well-formed and broken PGM/PBM byte strings: comments, odd spacing,
+    bad tokens, short payloads, stray and non-ASCII bytes in PBM text."""
+    spaces = [b" ", b"\n", b"\t", b"\r\n", b"  \n", b"\n# note\n", b" #x\n "]
+    for _ in range(300):
+        magic = [b"P5", b"P1", b"P6", b"P"][int(rng.choice(4, p=[0.45, 0.45, 0.05, 0.05]))]
+        h, w = (int(v) if rng.random() < 0.9 else 0 for v in rng.integers(1, 6, size=2))
+        fields = [str(w).encode(), str(h).encode()]
+        if magic != b"P1":
+            fields.append(b"255" if rng.random() < 0.9 else b"15")
+        if rng.random() < 0.05:
+            fields[int(rng.integers(len(fields)))] = b"1x"
+        head = magic
+        for f in fields:
+            head += spaces[int(rng.integers(len(spaces)))] + f
+        cut = rng.random() < 0.1
+        head += b"" if cut else spaces[int(rng.integers(3))][:1]
+        if magic == b"P1":
+            symbols = [b"0", b"1", b" ", b"\n", b"2", b"\xff"]
+            count = int(rng.integers(w * h // 2, 4 * w * h + 2))
+            body = b"".join(symbols[i] for i in rng.integers(0, 6, size=count))
+        else:
+            count = int(rng.integers(w * h - 1, w * h + 3))
+            body = rng.integers(0, 256, size=max(count, 0), dtype=np.uint8).tobytes()
+        if rng.random() < 0.05:
+            head, body = head[: int(rng.integers(2, len(head) + 1))], b""
+        yield head + body
+
+
+class TestPnmOracle:
+    def test_reader_matches_streamed_parser(self, tmp_path):
+        rng = np.random.default_rng(80)
+        path = tmp_path / "m.pnm"
+        outcomes = set()
+        for data in pnm_variants(rng):
+            path.write_bytes(data)
+            try:
+                ref = streamed_pgm_gray(path)
+            except FileFormatError as exc:
+                with pytest.raises(FileFormatError) as got:
+                    fileio._read_pgm_gray(path)
+                assert str(got.value) == str(exc), data
+                outcomes.add(str(exc).split(": ", 1)[1][:12])
+                continue
+            got = fileio._read_pgm_gray(path)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, data
+            assert np.array_equal(got, ref), data
+            outcomes.add("ok")
+        # every branch of the parser was exercised
+        assert len(outcomes) >= 6, outcomes
+
+    def test_pgm_payload_not_copied(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n3 1\n255\n\x00\x80\xff trailing")
+        gray = fileio._read_pgm_gray(path)
+        assert not gray.flags.owndata and not gray.flags.writeable
+        assert gray.tolist() == [[0, 128, 255]]
+        assert read_mask(path).tolist() == [[False, True, True]]

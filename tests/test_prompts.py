@@ -294,6 +294,13 @@ class TestDedup:
         with pytest.raises(ValueError, match="empty"):
             ScoredInstance(mask=np.zeros((4, 4), bool), score=0.5)
 
+    def test_bool_mask_kept_without_copy(self):
+        mask = np.eye(4, dtype=bool)
+        assert ScoredInstance(mask=mask, score=0.5).mask is mask
+        levels = np.eye(4, dtype=np.uint8) * 255  # other dtypes convert: nonzero is foreground
+        converted = ScoredInstance(mask=levels, score=0.5).mask
+        assert converted.dtype == bool and np.array_equal(converted, mask)
+
     def test_invalid_threshold(self):
         with pytest.raises(ValueError, match="tau_o"):
             dedup_instances([], tau_o=0.0)
