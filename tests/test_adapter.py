@@ -253,15 +253,8 @@ class TestTopKOracle:
         rng = np.random.default_rng(63)
         streamed_vs_argsort(monkeypatch, tied_tokens(rng, 1, 1500, 6), 6, np.ones(6))
 
-    @pytest.mark.parametrize("precision, dtype", [("single", np.float32), ("double", np.float64)])
-    def test_forward_bytes_unchanged_on_tied_field(self, precision, dtype, monkeypatch):
+    def test_forward_bytes_unchanged_on_tied_field(self, monkeypatch):
         cfg = DsgaConfig(embed_dim=32, k_max=8, dropout_prob=0.0, mode="eval", seed=64)
-        params = init_dsga_params(cfg, precision=precision)
-        rng = np.random.default_rng(64)
-        x = rng.standard_normal((1, 16, 16, 32)).astype(dtype)
-        x[0, 3:9, 5:12] = x[0, 3, 5]  # a flat rectangle of identical tokens
-        x[0, 12:, :4] = x[0, 0, 0]
-        out, graph = dsga_forward(x, params, cfg)
 
         def argsort_graph(z, k, weights):
             s = similarity_matrix(z)
@@ -269,10 +262,18 @@ class TestTopKOracle:
             g.neighbors = argsort_neighbors(s, k)
             return g
 
-        monkeypatch.setattr(adapter, "_streamed_graph", argsort_graph)
-        ref_out, ref_graph = dsga_forward(x, params, cfg)
-        assert np.array_equal(graph.neighbors, ref_graph.neighbors)
-        assert out.tobytes() == ref_out.tobytes()
+        for precision, dtype in (("single", np.float32), ("double", np.float64)):
+            params = init_dsga_params(cfg, precision=precision)
+            rng = np.random.default_rng(64)
+            x = rng.standard_normal((1, 16, 16, 32)).astype(dtype)
+            x[0, 3:9, 5:12] = x[0, 3, 5]  # a flat rectangle of identical tokens
+            x[0, 12:, :4] = x[0, 0, 0]
+            out, graph = dsga_forward(x, params, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(adapter, "_streamed_graph", argsort_graph)
+                ref_out, ref_graph = dsga_forward(x, params, cfg)
+            assert np.array_equal(graph.neighbors, ref_graph.neighbors)
+            assert out.dtype == dtype and out.tobytes() == ref_out.tobytes()
 
     @pytest.mark.parametrize("rows", [2, 3, 5, None])
     def test_float32_key_selects_as_its_float64_widening(self, rows, monkeypatch):
@@ -858,10 +859,8 @@ class TestPrecision:
         assert t["graph"].edge_weights.dtype == t["graph"].self_weights.dtype == np.float64
 
     def test_single_forward_holds_no_float64_token_array(self):
-        # a float64 [B, N, D] array at 64x64x768 is 25 MB; without one the
-        # single-precision forward peaks at about 48 MB, so 60 MB leaves no
-        # room for one (and stays under the 75 MB that the up-projection's
-        # float64 temporaries alone would exceed)
+        # a float64 [B, N, D] array at 64x64x768 is 25 MB; the single-precision
+        # forward peaks at about 48 MB, so a 60 MB bound leaves no room for one
         cfg = DsgaConfig(embed_dim=768, k_max=8, dropout_prob=0.0, mode="eval", seed=77)
         params = init_dsga_params(cfg)
         x = np.random.default_rng(77).standard_normal((1, 64, 64, 768)).astype(np.float32)
