@@ -10,6 +10,9 @@ averaged over W*H pixels so a perfect prediction scores exactly 1.
 
 P, R, F and E are functions of the confusion counts: one kernel maps counts
 to scores, and the 256-level sweep takes all its counts from one histogram.
+A pixel's level (the number of thresholds i/255 strictly below its value) is
+binned by integer arithmetic, ceil(255 s) plus one exact correction step,
+and the histogram is keyed by level and ground-truth value.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ __all__ = [
 
 _EPS = np.spacing(1.0)
 NUM_THRESHOLDS = 256
-_THRESHOLDS = np.arange(NUM_THRESHOLDS) / 255.0
 
 
 def _as_saliency(sal) -> np.ndarray:
@@ -157,6 +159,20 @@ def _region_ssim(pred_q: np.ndarray, gt_q: np.ndarray) -> float:
     return 1.0 if den == 0.0 else 0.0
 
 
+def _centroid(gt: np.ndarray) -> tuple[int, int]:
+    """Rounded (row, column) mean of a non-empty mask's foreground pixels.
+
+    Both numerators and the denominator are exact integer sums, so the
+    quotients equal the float mean of ``np.argwhere(gt)`` bit for bit, and
+    ``round`` breaks .5 ties to even as ``ndarray.round`` does.
+    """
+    rows, cols = np.count_nonzero(gt, axis=1), np.count_nonzero(gt, axis=0)
+    fg = int(rows.sum())
+    cy = int(np.arange(gt.shape[0]) @ rows) / fg
+    cx = int(np.arange(gt.shape[1]) @ cols) / fg
+    return round(cy), round(cx)
+
+
 def s_measure(sal, gt, alpha: float = 0.5) -> float:
     """Structure measure alpha * S_object + (1 - alpha) * S_region, clamped
     to [0, 1]; empty/full ground truth degenerates to 1 - mean / mean."""
@@ -175,8 +191,8 @@ def s_measure(sal, gt, alpha: float = 0.5) -> float:
 
     # region component: quadrant split at the (1-based) ground-truth centroid
     h, w = gt.shape
-    cy, cx = np.argwhere(gt).mean(axis=0).round()
-    px, py = int(cx) + 1, int(cy) + 1
+    cy, cx = _centroid(gt)
+    px, py = cx + 1, cy + 1
     area = h * w
     quads = [
         (slice(0, py), slice(0, px), px * py / area),
@@ -200,22 +216,44 @@ def mae(sal, gt) -> float:
     return float(np.mean(np.abs(sal - gt.astype(np.float64))))
 
 
-def _counts_above(levels: np.ndarray) -> np.ndarray:
-    """Per threshold i, the number of pixels whose level exceeds i."""
-    hist = np.bincount(levels, minlength=NUM_THRESHOLDS + 1)
-    return np.cumsum(hist[::-1])[::-1][1:]
+def _levels(sal: np.ndarray) -> np.ndarray:
+    """Per pixel of a validated map, the number L of thresholds T[i] = i/255
+    strictly below its value s (int16, 0..255): the pixel is foreground at
+    threshold i exactly when L exceeds i.
+
+    c = ceil(255 s) is L or L - 1. Rounding is monotone and 255 * T[k]
+    rounds back to k for every k, so T[L - 1] < s <= T[L] gives
+    L - 1 <= 255 s <= L after rounding. One step up where T[c] < s fixes c;
+    T[c] = c / 255 is the same float64 division that defines the thresholds,
+    and at c = 255 it is 1 >= s, so no step goes past 255.
+    """
+    s = sal.ravel()
+    buf = np.multiply(s, 255.0)
+    np.ceil(buf, out=buf)
+    levels = buf.astype(np.int16)
+    buf /= 255.0
+    levels += buf < s
+    return levels
+
+
+def _counts_above(hist: np.ndarray) -> np.ndarray:
+    """Per threshold i, the number of pixels whose level exceeds i, from
+    level histograms along the last axis."""
+    return np.cumsum(hist[..., ::-1], axis=-1)[..., ::-1][..., 1:]
 
 
 def threshold_sweep(sal, gt, beta_sq: float = 0.3) -> np.ndarray:
     """Binarize at t = i/255 for i in 0..255 (strict >) and report
     (precision, recall, F, E) per threshold as a [256, 4] array."""
     sal, gt = _checked_pair(sal, gt)
-    # a pixel's level is the number of thresholds strictly below it, so it
-    # is foreground at threshold i exactly when its level exceeds i
-    levels = np.searchsorted(_THRESHOLDS, sal.ravel())
-    pp = _counts_above(levels)
-    tp = _counts_above(levels[gt.ravel()])
-    scores = _count_scores(tp, pp, int(np.count_nonzero(gt)), gt.size, beta_sq)
+    # one histogram of the levels keyed by GT value: row 0 background, row 1
+    # foreground
+    key = _levels(sal)
+    key += np.multiply(gt.ravel(), NUM_THRESHOLDS + 1, dtype=np.int16)
+    hist = np.bincount(key, minlength=2 * (NUM_THRESHOLDS + 1)).reshape(2, -1)
+    above = _counts_above(hist)
+    tp, pp = above[1], above[0] + above[1]
+    scores = _count_scores(tp, pp, int(hist[1].sum()), gt.size, beta_sq)
     return np.stack(scores, axis=1)
 
 

@@ -68,8 +68,10 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d/dx of exact GELU: Phi(x) + x * pdf(x)."""
-    x = np.asarray(x)
+    """d/dx of exact GELU: Phi(x) + x * pdf(x), in float64 whatever the dtype
+    of ``x``: it feeds the float64 cotangents, and a float32 exp(-x^2 / 2)
+    would carry single-precision rounding into them."""
+    x = np.asarray(x, dtype=np.float64)
     cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
     pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
     return cdf + x * pdf

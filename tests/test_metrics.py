@@ -5,6 +5,8 @@ import pytest
 
 from dsga.metrics import (
     DetectionSet,
+    _centroid,
+    _count_scores,
     _greedy_match,
     adaptive_threshold,
     ap50,
@@ -559,3 +561,127 @@ class TestIouMatchingOracle:
         assert _greedy_match([0.9, 0.8], iou) == ([True, False], [0.5])
         assert reference_greedy_match(dets) == ([True, False], [0.5])
         assert detection_report(dets)["matched_count"] == 1
+
+
+# binning oracle: the searchsorted levels and the two per-subset histograms
+# that the integer binning and the GT-keyed histogram replaced
+
+THRESHOLDS = np.arange(256) / 255.0
+
+
+def searchsorted_sweep(sal, gt, beta_sq=0.3):
+    def counts_above(levels):
+        hist = np.bincount(levels, minlength=257)
+        return np.cumsum(hist[::-1])[::-1][1:]
+
+    levels = np.searchsorted(THRESHOLDS, sal.ravel())
+    pp = counts_above(levels)
+    tp = counts_above(levels[gt.ravel()])
+    scores = _count_scores(tp, pp, int(np.count_nonzero(gt)), gt.size, beta_sq)
+    return np.stack(scores, axis=1)
+
+
+def threshold_neighbours():
+    """Every threshold i/255, its two float64 neighbours on both sides, and
+    the same for the float32 rounding of each threshold, within [0, 1]."""
+    values = []
+    for base in (THRESHOLDS, THRESHOLDS.astype(np.float32).astype(np.float64)):
+        for direction in (-1.0, 2.0):
+            v = base
+            for _ in range(2):
+                v = np.nextafter(v, direction)
+                values.append(v)
+        values.append(base)
+    values = np.concatenate(values)
+    return values[(values >= 0.0) & (values <= 1.0)]
+
+
+def assert_sweep_matches_searchsorted(sal, gt):
+    curve, ref = threshold_sweep(sal, gt), searchsorted_sweep(sal, gt)
+    assert curve.tobytes() == ref.tobytes()
+
+
+class TestSweepBinningOracle:
+    def test_thresholds_scale_back_to_their_index(self):
+        # the premise that lets ceil(255 s) undershoot but never overshoot
+        assert np.array_equal(THRESHOLDS * 255.0, np.arange(256.0))
+
+    def test_uniform_maps(self):
+        rng = np.random.default_rng(70)
+        for _ in range(20):
+            h, w = rng.integers(1, 96, 2)
+            sal = rng.random((h, w))
+            assert_sweep_matches_searchsorted(sal, rng.random((h, w)) < rng.random())
+
+    def test_thresholds_and_their_neighbours(self):
+        values = threshold_neighbours()
+        assert values.size > 2000
+        rng = np.random.default_rng(71)
+        for _ in range(8):
+            sal = rng.permutation(values).reshape(1, -1)
+            assert_sweep_matches_searchsorted(sal, rng.random(sal.shape) < 0.5)
+
+    def test_end_values(self):
+        for value in (0.0, 1.0, -0.0):
+            for gt_value in (False, True):
+                sal = np.full((3, 4), value)
+                gt = np.full((3, 4), gt_value)
+                gt[0, 0] = not gt_value
+                assert_sweep_matches_searchsorted(sal, gt)
+        sal = np.array([[0.0, 1.0, 0.0, 1.0]])
+        assert_sweep_matches_searchsorted(sal, np.array([[True, True, False, False]]))
+
+    def test_float32_and_8_bit_maps(self):
+        # TNS predictions are float32 widened to float64; PGM ones are q/255
+        rng = np.random.default_rng(72)
+        for _ in range(12):
+            h, w = rng.integers(1, 80, 2)
+            gt = rng.random((h, w)) < rng.random()
+            tns = rng.random((h, w)).astype(np.float32).astype(np.float64)
+            pgm = rng.integers(0, 256, (h, w)).astype(np.uint8).astype(np.float64) / 255.0
+            assert_sweep_matches_searchsorted(tns, gt)
+            assert_sweep_matches_searchsorted(pgm, gt)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 53), (47, 1)])
+    def test_strips_and_single_pixels(self, shape):
+        rng = np.random.default_rng(73)
+        values = threshold_neighbours()
+        for _ in range(6):
+            sal = rng.choice(values, shape)
+            assert_sweep_matches_searchsorted(sal, rng.random(shape) < 0.5)
+            assert_sweep_matches_searchsorted(sal, np.zeros(shape, bool))
+            assert_sweep_matches_searchsorted(sal, np.ones(shape, bool))
+
+    def test_empty_and_full_gt(self):
+        rng = np.random.default_rng(74)
+        values = threshold_neighbours()
+        for sal in (rng.random((31, 17)), rng.choice(values, (31, 17))):
+            assert_sweep_matches_searchsorted(sal, np.zeros(sal.shape, bool))
+            assert_sweep_matches_searchsorted(sal, np.ones(sal.shape, bool))
+
+
+def argwhere_centroid(gt):
+    cy, cx = np.argwhere(gt).mean(axis=0).round()
+    return int(cy), int(cx)
+
+
+class TestCentroidOracle:
+    def test_matches_argwhere_mean(self):
+        rng = np.random.default_rng(75)
+        for _ in range(300):
+            h, w = rng.integers(1, 40, 2)
+            gt = rng.random((h, w)) < rng.random()
+            gt[rng.integers(h), rng.integers(w)] = True
+            assert _centroid(gt) == argwhere_centroid(gt)
+
+    def test_half_way_ties_round_to_even(self):
+        # means 0.5, 1.5, 2.5 and 3.5 along both axes
+        for lo in range(4):
+            gt = np.zeros((6, 6), bool)
+            gt[lo : lo + 2, lo : lo + 2] = True
+            assert _centroid(gt) == argwhere_centroid(gt) == (lo + lo % 2, lo + lo % 2)
+
+    def test_large_mask(self):
+        rng = np.random.default_rng(76)
+        gt = rng.random((512, 512)) < 0.3
+        assert _centroid(gt) == argwhere_centroid(gt)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from dsga.numerics import (
     NumericalError,
     check_finite,
     finite_diff_grad,
     gelu,
+    gelu_grad,
     l2_normalize,
     matmul,
     sigmoid,
@@ -69,6 +71,23 @@ class TestGelu:
     def test_exact_gaussian_cdf_at_one(self):
         # x * Phi(x) at x = 1, evaluated at 40-digit precision
         assert abs(gelu(np.array(1.0)) - 0.84134474606854295) < 1e-15
+
+    def test_grad_of_float32_is_the_grad_of_its_float64_widening(self):
+        rng = np.random.default_rng(12)
+        # sigma = 3 covers the tails; the derivative crosses zero near -0.75
+        x32 = np.concatenate([
+            rng.standard_normal(20_000) * 3.0,
+            rng.uniform(-0.8, -0.7, 2_000),
+        ]).astype(np.float32)
+        got = gelu_grad(x32)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, gelu_grad(x32.astype(np.float64)))
+
+    def test_grad_of_float64_is_the_formula(self):
+        x = np.random.default_rng(13).standard_normal(5_000) * 3.0
+        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        assert np.array_equal(gelu_grad(x), cdf + x * pdf)
 
 
 class TestL2Normalize:

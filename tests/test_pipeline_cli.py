@@ -504,3 +504,63 @@ class TestCli:
         assert first == second
         comparison = filecmp.dircmp(tmp_path / "d1", tmp_path / "d2")
         assert not comparison.diff_files and not comparison.left_only
+
+
+class TestCliParserReuse:
+    @staticmethod
+    def saliency_pair(root: Path, seed: int) -> list[str]:
+        rng = np.random.default_rng(seed)
+        for d in ("pred", "gt"):
+            (root / d).mkdir(parents=True)
+        for stem in ("a", "b"):
+            gt = rng.random((12, 9)) < 0.4
+            fileio.write_tns(root / "pred" / f"{stem}.tns", rng.random((12, 9)).astype(np.float32))
+            fileio.write_mask_pgm(root / "gt" / f"{stem}.pgm", gt)
+        return ["metrics", "saliency", "--pred-dir", str(root / "pred"),
+                "--gt-dir", str(root / "gt")]
+
+    def test_calls_in_one_process_match_fresh_parsers(self, tmp_path, capsys):
+        from dsga import cli
+
+        gt = np.zeros((8, 8), bool)
+        gt[2:6, 2:6] = True
+        fileio.write_mask_pgm(tmp_path / "loss_gt.pgm", gt)
+        fileio.write_tns(tmp_path / "loss_pred.tns", np.where(gt, 0.8, 0.1))
+        first = self.saliency_pair(tmp_path / "one", 1)
+        second = self.saliency_pair(tmp_path / "two", 2)
+        calls = [
+            first,
+            second,
+            ["metrics", "saliency", "--pred-dir", str(tmp_path / "one" / "pred")],
+            ["loss", "eval", "--pred", str(tmp_path / "loss_pred.tns"),
+             "--gt", str(tmp_path / "loss_gt.pgm"), "--weights", "1,2,3"],
+            second,
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        cli._parser.cache_clear()
+        reused = [run(calls[0])]
+        parser = cli._parser()
+        reused += [run(argv) for argv in calls[1:]]
+
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0]
+        assert reused[2][2].startswith("validation error:")
+        assert "--gt-dir" in reused[2][2]
+        assert reused[0][1] != reused[1][1] == reused[4][1]
+        assert set(json.loads(reused[3][1])) == {"total", "focal", "dice", "boundary"}
+        assert cli._parser() is parser
+
+    def test_build_parser_returns_a_new_parser(self):
+        from dsga import cli
+
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
