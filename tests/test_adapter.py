@@ -338,6 +338,150 @@ class TestTopKOracle:
             tracemalloc.stop()
 
 
+def partition_top_k(key, row0, k):
+    """Reference top-k selection of the similarity rows row0..row0+R-1 in
+    ``key`` (not modified): a partition of every full row, the tie at the
+    k-th value cut at the lowest indices, then a stable sort of the k kept
+    values. It is the selection _top_k_rows made before the group-maximum
+    bound, kept here as the oracle."""
+    b, r, n = key.shape
+    if k == 0:
+        return np.zeros((b, r, 0), dtype=np.intp)
+    key = key.copy()
+    local = np.arange(r)
+    key[:, local, row0 + local] = -np.inf
+    kth = np.partition(key, n - k, axis=-1)[..., n - k, None]
+    keep = key >= kth
+    tied = np.count_nonzero(keep, axis=-1) > k
+    if tied.any():
+        sub, cut = key[tied], kth[tied]
+        above, at = sub > cut, sub == cut
+        need = k - np.count_nonzero(above, axis=-1, keepdims=True)
+        keep[tied] = above | (at & (np.cumsum(at, axis=-1) <= need))
+    cols = (np.flatnonzero(keep) % n).reshape(b, r, k)
+    vals = np.take_along_axis(key, cols, axis=-1)
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    return np.take_along_axis(cols, order, axis=-1)
+
+
+# candidate limits: the module's, one that sends every block to the
+# partition and one that sends every block with k < m to the candidate sort
+CANDIDATE_LIMITS = {"default": adapter._CANDIDATES_PER_ROW, "partition": 0, "candidates": 10**9}
+
+
+def count_candidate_sorts(monkeypatch):
+    """Counts the blocks selected by the candidate sort (the only caller of
+    np.lexsort in the forward) in ``calls[0]``."""
+    calls = [0]
+    lexsort = np.lexsort
+
+    def counting(keys, *args, **kwargs):
+        calls[0] += 1
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counting)
+    return calls
+
+
+def streamed_vs_partition(monkeypatch, z, k, rows=None):
+    """Streamed and build_graph neighbours against the partition oracle on the
+    similarity blocks the streamed graph computed, and on their concatenation."""
+    b, n, _ = z.shape
+    k_eff = max(0, min(k, n - 1))
+    weights = np.ones(max(k_eff, 1))
+    with monkeypatch.context() as m:
+        set_block_rows(m, rows, b, n)
+        blocks = record_blocks(m)
+        g = adapter._streamed_graph(z, k, weights)
+    ref, r0 = [], 0
+    for blk in blocks:
+        ref.append(partition_top_k(blk, r0, k_eff))
+        r0 += blk.shape[1]
+    assert np.array_equal(g.neighbors, np.concatenate(ref, axis=1))
+    s = np.concatenate(blocks, axis=1)
+    assert np.array_equal(build_graph(s, k, weights).neighbors, partition_top_k(s, 0, k_eff))
+
+
+def two_valued_tokens(rng, b, n, dh):
+    """Each token is one of two fixed vectors, so every similarity row holds
+    two values (three with its own entry) and ties densely."""
+    pair = rng.standard_normal((2, dh))
+    return pair[rng.integers(0, 2, size=(b, n))]
+
+
+class TestGroupBoundSelection:
+    """The top-k selection through the group-maximum candidate bound (and its
+    partition fallback) is bit-equal to the full-row partition."""
+
+    @pytest.mark.parametrize("limit", CANDIDATE_LIMITS)
+    @pytest.mark.parametrize("n", [600, 1000, 1500])
+    def test_tied_tokens_with_multi_column_groups(self, n, limit, monkeypatch):
+        # n > 256 puts two or more columns in each group, and 256 divides none of n
+        monkeypatch.setattr(adapter, "_CANDIDATES_PER_ROW", CANDIDATE_LIMITS[limit])
+        rng = np.random.default_rng(80 + n)
+        calls = count_candidate_sorts(monkeypatch)
+        for b, dh, k, rows in [(1, 4, 6, None), (2, 3, 8, 97), (1, 6, 1, 250)]:
+            streamed_vs_partition(monkeypatch, tied_tokens(rng, b, n, dh), k, rows)
+        # the zero tokens tie whole rows, so with the module's limit most
+        # blocks here go to the partition; test_branch_per_block covers both
+        if limit != "default":
+            assert (calls[0] > 0) == (limit == "candidates")
+
+    @pytest.mark.parametrize("limit", CANDIDATE_LIMITS)
+    def test_dense_ties(self, limit, monkeypatch):
+        monkeypatch.setattr(adapter, "_CANDIDATES_PER_ROW", CANDIDATE_LIMITS[limit])
+        rng = np.random.default_rng(90)
+        calls = count_candidate_sorts(monkeypatch)
+        for z in (np.ones((1, 700, 5)), two_valued_tokens(rng, 2, 700, 5)):
+            for k in (1, 6):
+                streamed_vs_partition(monkeypatch, z, k)
+                streamed_vs_partition(monkeypatch, z, k, rows=128)
+        # with the module's limit these fields take the partition fallback
+        assert (calls[0] > 0) == (limit == "candidates")
+
+    @pytest.mark.parametrize("limit", CANDIDATE_LIMITS)
+    def test_batch_of_two_and_extreme_k(self, limit, monkeypatch):
+        monkeypatch.setattr(adapter, "_CANDIDATES_PER_ROW", CANDIDATE_LIMITS[limit])
+        rng = np.random.default_rng(91)
+        # k = n - 1 is below m = n = 200 (every column its own group) and
+        # above m = 256 at n = 300
+        for n, ks in ((200, (0, 1, 199, 203)), (300, (0, 1, 299)), (520, (0, 1, 6))):
+            z = tied_tokens(rng, 2, n, 4)
+            for k in ks:
+                streamed_vs_partition(monkeypatch, z, k)
+                streamed_vs_partition(monkeypatch, z, k, rows=111)
+
+    @pytest.mark.parametrize("limit", CANDIDATE_LIMITS)
+    def test_self_entry_alone_large_in_its_group(self, limit, monkeypatch):
+        # each row's own entry is its group's only large value: masking it
+        # leaves that group's maximum among the smallest of the row
+        monkeypatch.setattr(adapter, "_CANDIDATES_PER_ROW", CANDIDATE_LIMITS[limit])
+        rng = np.random.default_rng(92)
+        b, n = 2, 700
+        s = rng.uniform(-1.0, 0.0, size=(b, n, n))
+        s[:, np.arange(n), np.arange(n)] = 1.0
+        # a few tied large values elsewhere, and signed zeros that tie with each other
+        s[:, :, 3] = s[:, :, 259] = s[:, :, 515] = 0.5
+        s[:, :, 10::37] = 0.0
+        s[:, :, 11::37] = -0.0
+        for k in (1, 3, 6, 40):
+            ref = partition_top_k(s, 0, k)
+            assert np.array_equal(build_graph(s, k, np.ones(k)).neighbors, ref)
+            assert np.array_equal(ref, argsort_neighbors(s, k))
+
+    def test_branch_per_block(self, monkeypatch):
+        # one field, blocks of 100 rows: blocks of distinct tokens take the
+        # candidate sort, blocks of identical tokens the partition
+        rng = np.random.default_rng(93)
+        z = rng.standard_normal((1, 1000, 6))
+        z[0, 500:700] = z[0, 500]
+        streamed_vs_partition(monkeypatch, z, 6, rows=100)
+        set_block_rows(monkeypatch, 100, 1, 1000)
+        calls = count_candidate_sorts(monkeypatch)
+        adapter._streamed_graph(z, 6, np.ones(6))
+        assert calls[0] == 8
+
+
 class TestPropagate:
     def test_single_node_identity(self):
         g = build_graph(np.zeros((1, 1, 1)), k=1, weights=np.array([1.0]))
@@ -809,6 +953,27 @@ class TestForwardPieceOracle:
                     got = adapter._dual_pool_trace(values)
                     for a, ref in zip(got, stacked_dual_pool(values)):
                         assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_running_argmax_matches_stack(self, dtype):
+        # the argmax runs in uint8 and is widened at the end: it must be the
+        # stack's first-index argmax, as intp, where windows tie
+        rng = np.random.default_rng(73)
+        for b, h, w in [(1, 1, 1), (2, 1, 6), (1, 7, 1), (1, 1, 2), (2, 5, 4), (1, 8, 9)]:
+            signed_zeros = np.where(rng.random((b, h, w, 4)) < 0.5, 0.0, -0.0)
+            mixed = signed_zeros.copy()
+            mixed[..., 0] = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(b, h, w))
+            for values in (np.full((b, h, w, 3), 2.5),  # a plateau: all nine windows equal
+                           np.broadcast_to(rng.standard_normal(3), (b, h, w, 3)),
+                           np.full((b, h, w, 2), -0.0),
+                           signed_zeros,
+                           mixed):
+                values = np.ascontiguousarray(values, dtype=dtype)
+                mx, av, argmax = adapter._dual_pool_trace(values)
+                ref_mx, ref_av, ref_argmax = stacked_dual_pool(values)
+                assert argmax.dtype == np.intp and argmax.tobytes() == ref_argmax.tobytes()
+                assert mx.dtype == dtype and mx.tobytes() == ref_mx.tobytes()
+                assert av.dtype == dtype and av.tobytes() == ref_av.tobytes()
 
     def test_propagate_matches_gather(self):
         rng = np.random.default_rng(71)

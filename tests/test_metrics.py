@@ -512,6 +512,52 @@ class TestCountKernelOracle:
             threshold_sweep(sal, np.zeros((3, 3), bool))
 
 
+class TestValidateOnce:
+    def test_report_equals_the_public_functions(self):
+        # the report reads unchecked kernels; each field must be bit-equal to
+        # the public, validating function it stands for
+        rng = np.random.default_rng(64)
+        for sal, gt in oracle_maps(rng):
+            rep = evaluate_saliency(sal, gt)
+            assert rep.threshold_curve.tobytes() == threshold_sweep(sal, gt).tobytes()
+            assert rep.s_measure == s_measure(sal, gt)
+            assert rep.mae == mae(sal, gt)
+            adp = sal > adaptive_threshold(sal)
+            assert rep.f_adaptive == f_beta(*precision_recall(adp, gt))
+            assert rep.e_adaptive == e_measure(adp, gt)
+
+    def test_mae_matches_float64_gt_difference(self):
+        # the old expression, with the GT cast to a float64 copy first
+        rng = np.random.default_rng(65)
+        for sal, gt in oracle_maps(rng):
+            assert mae(sal, gt) == float(np.mean(np.abs(sal - gt.astype(np.float64))))
+
+    def test_pair_validated_once(self, monkeypatch):
+        from dsga import metrics
+
+        calls = []
+        check = metrics._as_saliency
+        monkeypatch.setattr(metrics, "_as_saliency", lambda sal: calls.append(1) or check(sal))
+        gt = np.zeros((6, 7), bool)
+        gt[1:4, 2:6] = True
+        evaluate_saliency(np.linspace(0.0, 1.0, 42).reshape(6, 7), gt)
+        assert len(calls) == 1
+        for fn in (threshold_sweep, s_measure, mae):
+            fn(np.full((6, 7), 0.25), gt)
+        adaptive_threshold(np.full((6, 7), 0.25))
+        assert len(calls) == 5  # the public functions still validate
+
+    @pytest.mark.parametrize("fn", [evaluate_saliency, threshold_sweep, s_measure, mae])
+    def test_each_entry_point_rejects_bad_maps(self, fn):
+        gt = np.zeros((3, 3), bool)
+        with pytest.raises(ValueError, match="saliency values"):
+            fn(np.full((3, 3), 1.5), gt)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fn(np.full((3, 4), 0.5), gt)
+        with pytest.raises(ValueError, match="2-D"):
+            fn(np.full(9, 0.5), gt)
+
+
 def oracle_scene(rng, n_pred, n_gt, shape=(10, 12)):
     """Blocks on a small grid, so IoU ties, exact duplicates and score ties
     are common."""
