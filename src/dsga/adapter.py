@@ -19,8 +19,8 @@ forward pass never holds S whole. It computes S one block of rows at a time
 keeps each row's k largest entries, and drops the block. The columns fall
 into ``_GROUPS`` groups by index modulo; the k-th largest group maximum is a
 lower bound on the k-th largest entry, so only the few entries at or above
-it are sorted. A block whose bound admits many entries (dense ties) is
-selected by a partition of each row instead. Neighbors are ordered by
+it are sorted. A block where the bound admits more than a quarter of the
+entries (dense ties) is selected by a partition of each row instead. Neighbors are ordered by
 descending similarity, ties by lowest index, which is exactly a stable sort
 of the full row.
 
@@ -82,10 +82,16 @@ __all__ = [
 # float32 keys, 16 MB of float64); the block holds
 # max(2, _BLOCK_ELEMS // (B * N)) rows.
 _BLOCK_ELEMS = 2**21
-# Column groups of the top-k candidate bound, and the mean number of
-# candidates per row above which a block is selected by partition instead.
+# Column groups of the top-k candidate bound, and the share of a block's
+# entries above which its candidates are selected by partition instead. The
+# share is the measured crossover: on float32 blocks of 512x4096, 1024x1024
+# and 256x8192 (k = 6, 2 vCPU), with c entries per row tied at the row's top
+# or a share of rows tied whole, sorting the candidates was as fast as the
+# partition or faster up to about N/4 of them per row (at 512x4096, 8 ms
+# against 11 ms at 413 per row; 14 against 16 ms at 1,236) and slower from
+# N/2 on (24 against 18 ms at 2,050; 53 against 39 ms at 4,095).
 _GROUPS = 256
-_CANDIDATES_PER_ROW = 64
+_CANDIDATE_SHARE = 0.25
 
 
 @dataclass
@@ -318,7 +324,7 @@ def _top_k_rows(key: np.ndarray, row0: int, k: int) -> np.ndarray:
         gmax = key[..., :whole].reshape(b, r, -1, m).max(axis=2)
         np.maximum(gmax[..., : n - whole], key[..., whole:], out=gmax[..., : n - whole])
         cand = key >= np.partition(gmax, m - k, axis=-1)[..., m - k, None]
-        if np.count_nonzero(cand) <= _CANDIDATES_PER_ROW * b * r:
+        if np.count_nonzero(cand) <= _CANDIDATE_SHARE * cand.size:
             # flat indices ascend, so a stable sort by (row, -value) orders
             # each row as a stable sort of the full row does
             flat = np.flatnonzero(cand)
@@ -330,7 +336,8 @@ def _top_k_rows(key: np.ndarray, row0: int, k: int) -> np.ndarray:
         # freed before the partition allocates: holding them made the
         # fallback ~25% slower on a constant field
         del gmax, cand
-    # dense ties (the bound admits many entries per row): partition each row
+    # dense ties (the bound admits over _CANDIDATE_SHARE of the entries):
+    # partition each row
     kth = np.partition(key, n - k, axis=-1)[..., n - k, None]
     keep = key >= kth
     # rows with more than k entries at or above the k-th value keep the

@@ -123,13 +123,10 @@ def f_beta(precision: float, recall: float, beta_sq: float = 0.3) -> float:
     return (1.0 + beta_sq) * precision * recall / den
 
 
-def _adaptive_threshold(sal: np.ndarray) -> float:
-    return min(2.0 * float(sal.mean()), 1.0)
-
-
 def adaptive_threshold(sal) -> float:
     """min(2 * mean, 1); binarization everywhere uses the strict sal > t rule."""
-    return _adaptive_threshold(_as_saliency(sal))
+    sal = _as_saliency(sal)
+    return min(2.0 * float(sal.mean()), 1.0)
 
 
 def e_measure(binarized, gt) -> float:
@@ -179,10 +176,7 @@ def _centroid(gt: np.ndarray) -> tuple[int, int]:
 def s_measure(sal, gt, alpha: float = 0.5) -> float:
     """Structure measure alpha * S_object + (1 - alpha) * S_region, clamped
     to [0, 1]; empty/full ground truth degenerates to 1 - mean / mean."""
-    return _s_measure(*_checked_pair(sal, gt), alpha)
-
-
-def _s_measure(sal: np.ndarray, gt: np.ndarray, alpha: float) -> float:
+    sal, gt = _checked_pair(sal, gt)
     y = float(gt.mean())
     if y == 0.0:
         return float(np.clip(1.0 - sal.mean(), 0.0, 1.0))
@@ -218,10 +212,7 @@ def _s_measure(sal: np.ndarray, gt: np.ndarray, alpha: float) -> float:
 
 def mae(sal, gt) -> float:
     """Mean absolute difference between the map and the binary ground truth."""
-    return _mae(*_checked_pair(sal, gt))
-
-
-def _mae(sal: np.ndarray, gt: np.ndarray) -> float:
+    sal, gt = _checked_pair(sal, gt)
     # one float64 temporary: the bool GT is cast inside the subtraction
     diff = np.subtract(sal, gt)
     return float(np.abs(diff, out=diff).mean())
@@ -256,10 +247,7 @@ def _counts_above(hist: np.ndarray) -> np.ndarray:
 def threshold_sweep(sal, gt, beta_sq: float = 0.3) -> np.ndarray:
     """Binarize at t = i/255 for i in 0..255 (strict >) and report
     (precision, recall, F, E) per threshold as a [256, 4] array."""
-    return _sweep(*_checked_pair(sal, gt), beta_sq)
-
-
-def _sweep(sal: np.ndarray, gt: np.ndarray, beta_sq: float) -> np.ndarray:
+    sal, gt = _checked_pair(sal, gt)
     # one histogram of the levels keyed by GT value: row 0 background, row 1
     # foreground
     key = _levels(sal)
@@ -304,19 +292,19 @@ class MetricReport:
 
 def evaluate_saliency(sal, gt, alpha: float = 0.5, beta_sq: float = 0.3) -> MetricReport:
     """Full per-image report: S, mean/max/adaptive F and E, MAE, and the
-    256-point threshold curve. The pair is validated once, here."""
+    256-point threshold curve."""
     sal, gt = _checked_pair(sal, gt)
-    curve = _sweep(sal, gt, beta_sq)
-    _, _, f_adp, e_adp = _binary_scores(sal > _adaptive_threshold(sal), gt, beta_sq)
+    curve = threshold_sweep(sal, gt, beta_sq)
+    _, _, f_adp, e_adp = _binary_scores(sal > adaptive_threshold(sal), gt, beta_sq)
     return MetricReport(
-        s_measure=_s_measure(sal, gt, alpha),
+        s_measure=s_measure(sal, gt, alpha),
         f_mean=float(curve[:, 2].mean()),
         f_max=float(curve[:, 2].max()),
         f_adaptive=f_adp,
         e_mean=float(curve[:, 3].mean()),
         e_max=float(curve[:, 3].max()),
         e_adaptive=e_adp,
-        mae=_mae(sal, gt),
+        mae=mae(sal, gt),
         threshold_curve=curve,
     )
 

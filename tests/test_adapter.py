@@ -364,9 +364,9 @@ def partition_top_k(key, row0, k):
     return np.take_along_axis(cols, order, axis=-1)
 
 
-# candidate limits: the module's, one that sends every block to the
+# candidate shares: the module's, one that sends every block to the
 # partition and one that sends every block with k < m to the candidate sort
-CANDIDATE_LIMITS = {"default": adapter._CANDIDATES_PER_ROW, "partition": 0, "candidates": 10**9}
+CANDIDATE_SHARES = {"default": adapter._CANDIDATE_SHARE, "partition": 0.0, "candidates": 1.0}
 
 
 def count_candidate_sorts(monkeypatch):
@@ -413,35 +413,35 @@ class TestGroupBoundSelection:
     """The top-k selection through the group-maximum candidate bound (and its
     partition fallback) is bit-equal to the full-row partition."""
 
-    @pytest.mark.parametrize("limit", CANDIDATE_LIMITS)
+    @pytest.mark.parametrize("share", CANDIDATE_SHARES)
     @pytest.mark.parametrize("n", [600, 1000, 1500])
-    def test_tied_tokens_with_multi_column_groups(self, n, limit, monkeypatch):
+    def test_tied_tokens_with_multi_column_groups(self, n, share, monkeypatch):
         # n > 256 puts two or more columns in each group, and 256 divides none of n
-        monkeypatch.setattr(adapter, "_CANDIDATES_PER_ROW", CANDIDATE_LIMITS[limit])
+        monkeypatch.setattr(adapter, "_CANDIDATE_SHARE", CANDIDATE_SHARES[share])
         rng = np.random.default_rng(80 + n)
         calls = count_candidate_sorts(monkeypatch)
         for b, dh, k, rows in [(1, 4, 6, None), (2, 3, 8, 97), (1, 6, 1, 250)]:
             streamed_vs_partition(monkeypatch, tied_tokens(rng, b, n, dh), k, rows)
-        # the zero tokens tie whole rows, so with the module's limit most
-        # blocks here go to the partition; test_branch_per_block covers both
-        if limit != "default":
-            assert (calls[0] > 0) == (limit == "candidates")
+        # the zero tokens (a tenth) tie whole rows, which stays under the
+        # module's share, so these blocks take the candidate sort;
+        # test_branch_per_block covers both branches under it
+        assert (calls[0] > 0) == (share != "partition")
 
-    @pytest.mark.parametrize("limit", CANDIDATE_LIMITS)
-    def test_dense_ties(self, limit, monkeypatch):
-        monkeypatch.setattr(adapter, "_CANDIDATES_PER_ROW", CANDIDATE_LIMITS[limit])
+    @pytest.mark.parametrize("share", CANDIDATE_SHARES)
+    def test_dense_ties(self, share, monkeypatch):
+        monkeypatch.setattr(adapter, "_CANDIDATE_SHARE", CANDIDATE_SHARES[share])
         rng = np.random.default_rng(90)
         calls = count_candidate_sorts(monkeypatch)
         for z in (np.ones((1, 700, 5)), two_valued_tokens(rng, 2, 700, 5)):
             for k in (1, 6):
                 streamed_vs_partition(monkeypatch, z, k)
                 streamed_vs_partition(monkeypatch, z, k, rows=128)
-        # with the module's limit these fields take the partition fallback
-        assert (calls[0] > 0) == (limit == "candidates")
+        # with the module's share these fields take the partition fallback
+        assert (calls[0] > 0) == (share == "candidates")
 
-    @pytest.mark.parametrize("limit", CANDIDATE_LIMITS)
-    def test_batch_of_two_and_extreme_k(self, limit, monkeypatch):
-        monkeypatch.setattr(adapter, "_CANDIDATES_PER_ROW", CANDIDATE_LIMITS[limit])
+    @pytest.mark.parametrize("share", CANDIDATE_SHARES)
+    def test_batch_of_two_and_extreme_k(self, share, monkeypatch):
+        monkeypatch.setattr(adapter, "_CANDIDATE_SHARE", CANDIDATE_SHARES[share])
         rng = np.random.default_rng(91)
         # k = n - 1 is below m = n = 200 (every column its own group) and
         # above m = 256 at n = 300
@@ -451,11 +451,11 @@ class TestGroupBoundSelection:
                 streamed_vs_partition(monkeypatch, z, k)
                 streamed_vs_partition(monkeypatch, z, k, rows=111)
 
-    @pytest.mark.parametrize("limit", CANDIDATE_LIMITS)
-    def test_self_entry_alone_large_in_its_group(self, limit, monkeypatch):
+    @pytest.mark.parametrize("share", CANDIDATE_SHARES)
+    def test_self_entry_alone_large_in_its_group(self, share, monkeypatch):
         # each row's own entry is its group's only large value: masking it
         # leaves that group's maximum among the smallest of the row
-        monkeypatch.setattr(adapter, "_CANDIDATES_PER_ROW", CANDIDATE_LIMITS[limit])
+        monkeypatch.setattr(adapter, "_CANDIDATE_SHARE", CANDIDATE_SHARES[share])
         rng = np.random.default_rng(92)
         b, n = 2, 700
         s = rng.uniform(-1.0, 0.0, size=(b, n, n))
@@ -471,15 +471,16 @@ class TestGroupBoundSelection:
 
     def test_branch_per_block(self, monkeypatch):
         # one field, blocks of 100 rows: blocks of distinct tokens take the
-        # candidate sort, blocks of identical tokens the partition
+        # candidate sort, blocks of identical tokens (each row ties 399 of
+        # 1000 entries, over the module's share) the partition
         rng = np.random.default_rng(93)
         z = rng.standard_normal((1, 1000, 6))
-        z[0, 500:700] = z[0, 500]
+        z[0, 300:700] = z[0, 300]
         streamed_vs_partition(monkeypatch, z, 6, rows=100)
         set_block_rows(monkeypatch, 100, 1, 1000)
         calls = count_candidate_sorts(monkeypatch)
         adapter._streamed_graph(z, 6, np.ones(6))
-        assert calls[0] == 8
+        assert calls[0] == 6
 
 
 class TestPropagate:

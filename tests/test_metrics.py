@@ -512,10 +512,8 @@ class TestCountKernelOracle:
             threshold_sweep(sal, np.zeros((3, 3), bool))
 
 
-class TestValidateOnce:
+class TestReportAndMae:
     def test_report_equals_the_public_functions(self):
-        # the report reads unchecked kernels; each field must be bit-equal to
-        # the public, validating function it stands for
         rng = np.random.default_rng(64)
         for sal, gt in oracle_maps(rng):
             rep = evaluate_saliency(sal, gt)
@@ -531,21 +529,6 @@ class TestValidateOnce:
         rng = np.random.default_rng(65)
         for sal, gt in oracle_maps(rng):
             assert mae(sal, gt) == float(np.mean(np.abs(sal - gt.astype(np.float64))))
-
-    def test_pair_validated_once(self, monkeypatch):
-        from dsga import metrics
-
-        calls = []
-        check = metrics._as_saliency
-        monkeypatch.setattr(metrics, "_as_saliency", lambda sal: calls.append(1) or check(sal))
-        gt = np.zeros((6, 7), bool)
-        gt[1:4, 2:6] = True
-        evaluate_saliency(np.linspace(0.0, 1.0, 42).reshape(6, 7), gt)
-        assert len(calls) == 1
-        for fn in (threshold_sweep, s_measure, mae):
-            fn(np.full((6, 7), 0.25), gt)
-        adaptive_threshold(np.full((6, 7), 0.25))
-        assert len(calls) == 5  # the public functions still validate
 
     @pytest.mark.parametrize("fn", [evaluate_saliency, threshold_sweep, s_measure, mae])
     def test_each_entry_point_rejects_bad_maps(self, fn):
