@@ -19,10 +19,10 @@ forward pass never holds S whole. It computes S one block of rows at a time
 keeps each row's k largest entries, and drops the block. The columns fall
 into ``_GROUPS`` groups by index modulo; the k-th largest group maximum is a
 lower bound on the k-th largest entry, so only the few entries at or above
-it are sorted. A block where the bound admits more than a quarter of the
-entries (dense ties) is selected by a partition of each row instead. Neighbors are ordered by
-descending similarity, ties by lowest index, which is exactly a stable sort
-of the full row.
+it are sorted. A block where the bound admits more than 30% of the entries
+(dense ties) is selected by a partition of each row instead. Neighbors are
+ordered by descending similarity, ties by lowest index, which is exactly a
+stable sort of the full row.
 
 Precision: every stage from the down-projection to the up-projection (Z, S,
 propagation, fusion, both pools, the gated residual, dropout) runs in the
@@ -83,15 +83,15 @@ __all__ = [
 # max(2, _BLOCK_ELEMS // (B * N)) rows.
 _BLOCK_ELEMS = 2**21
 # Column groups of the top-k candidate bound, and the share of a block's
-# entries above which its candidates are selected by partition instead. The
-# share is the measured crossover: on float32 blocks of 512x4096, 1024x1024
-# and 256x8192 (k = 6, 2 vCPU), with c entries per row tied at the row's top
-# or a share of rows tied whole, sorting the candidates was as fast as the
-# partition or faster up to about N/4 of them per row (at 512x4096, 8 ms
-# against 11 ms at 413 per row; 14 against 16 ms at 1,236) and slower from
-# N/2 on (24 against 18 ms at 2,050; 53 against 39 ms at 4,095).
+# entries above which its candidates are selected by partition instead: the
+# measured crossover. Timed on float32 blocks of 512x4096, 1024x1024 and
+# 256x8192 (k = 6, 2 vCPU, median of 9; BENCH_topk_pool.json,
+# "branch_crossover"), with whole rows tied or c entries per row tied at the
+# top, the sort won every case up to a share of 0.3 (at 512x4096 with 30% of
+# rows tied, 16.3 against 16.8 ms) and the partition won on tied rows from
+# 0.4 on (23.1 against 21.3 ms; 56.9 against 40.0 ms on a constant block).
 _GROUPS = 256
-_CANDIDATE_SHARE = 0.25
+_CANDIDATE_SHARE = 0.3
 
 
 @dataclass
