@@ -29,9 +29,11 @@ propagation, fusion, both pools, the gated residual, dropout) runs in the
 dtype of the down-projection's output, so float32 input with float32 params
 stays float32 throughout and only ``out`` is cast back to x's dtype. The
 selection key is S in that dtype; widening it to float64 would be exact and
-keep its order, so it would pick the same neighbors. The graph's rank
-weights stay float64 for the rank-weight softmax VJP and the float64
-cotangents; propagate casts them to the hidden dtype where it uses them.
+keep its order, so it would pick the same neighbors. The backward runs in
+the same working dtype and returns its cotangents in it. The graph's rank
+weights stay float64 for the rank-weight softmax VJP, which also runs in
+float64; propagate and the backward cast them to the working dtype where
+they use them.
 
 Discrete selections (top-k membership, the chosen neighbor count k, the
 floor inside adaptive_k, max-pool argmax) are treated as constants of the
@@ -407,10 +409,21 @@ def _streamed_graph(z: np.ndarray, k: int, weights: np.ndarray) -> SimilarityGra
     return _rank_graph(neighbors, weights)
 
 
+def _edge_matrix(graph: SimilarityGraph, dtype) -> csr_array:
+    """The graph's neighbor weights as a block-diagonal [B*N, B*N] CSR matrix
+    in ``dtype``: row b*N + i holds A_{i, nbr(i, r)} at column b*N + nbr(i, r),
+    stored in rank order."""
+    b, n, k = graph.neighbors.shape
+    rows = np.arange(b * n * k + 1, step=k)
+    cols = (np.arange(b)[:, None, None] * n + graph.neighbors).reshape(-1)
+    weights = graph.edge_weights.reshape(-1).astype(dtype, copy=False)
+    return csr_array((weights, cols, rows), shape=(b * n, b * n))
+
+
 def propagate(graph: SimilarityGraph, z: np.ndarray) -> np.ndarray:
     """Sparse aggregation out_i = A_ii z_i + sum_r A_{i,nbr(i,r)} z_{nbr(i,r)}."""
     z = np.asarray(z)
-    b, n, _ = z.shape
+    b, n, dh = z.shape
     if graph.batch != b or graph.num_nodes != n:
         raise ValueError(
             f"graph is {graph.batch}x{graph.num_nodes} nodes, features are {b}x{n}"
@@ -418,14 +431,9 @@ def propagate(graph: SimilarityGraph, z: np.ndarray) -> np.ndarray:
     # the graph's weights are float64; cast them at use so the sum stays in z's dtype
     out = graph.self_weights.astype(z.dtype, copy=False)[..., None] * z
     if graph.k > 0:
-        # rank by rank, in rank order from +0: the same sums as reducing a
-        # [B, N, k, Dh] gather over k, without holding it
-        edge_weights = graph.edge_weights.astype(z.dtype, copy=False)
-        bi = np.arange(b)[:, None]
-        acc = np.zeros(out.shape, z.dtype)
-        for r in range(graph.k):
-            acc += edge_weights[..., r, None] * z[bi, graph.neighbors[..., r]]
-        out += acc
+        # the product adds each row's entries in rank order from +0: the same
+        # sums as reducing a [B, N, k, Dh] gather over k, without holding it
+        out += (_edge_matrix(graph, z.dtype) @ z.reshape(b * n, dh)).reshape(b, n, dh)
     return out
 
 
@@ -472,11 +480,18 @@ def dual_pool(zp: np.ndarray):
 
 
 def _dual_pool_vjp(dmx, dav, argmax):
+    """Adjoint of the dual pool, in the cotangents' dtype."""
     b, h, w, c = argmax.shape
-    dpadded = np.zeros((b, h + 2, w + 2, c), dtype=np.float64)
+    am = argmax.astype(np.uint8)
+    dpadded = np.zeros((b, h + 2, w + 2, c), dtype=dmx.dtype)
     dav9 = dav / 9.0
+    term = np.empty_like(dmx)
     for o, (dy, dx) in enumerate(_OFFSETS):
-        dpadded[:, dy : dy + h, dx : dx + w] += np.where(argmax == o, dmx, 0.0) + dav9
+        # (am == o) * dmx is dmx or a signed zero; a -0 term adds the same
+        # bits as +0, because the +0-started accumulator never becomes -0
+        np.multiply(am == o, dmx, out=term)
+        term += dav9
+        dpadded[:, dy : dy + h, dx : dx + w] += term
     return _fold_reflect(_fold_reflect(dpadded, 1), 2)
 
 
@@ -594,24 +609,33 @@ def dsga_forward(x, params: DsgaParams, cfg: DsgaConfig):
 def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     """Cotangents of sum(upstream * dsga_forward(x)) wrt x and all parameters.
 
+    The cotangents come back in the forward's working dtype, the hidden dtype
+    result_type(x, down_w, down_b): float32 input with float32 params gives
+    float32 cotangents, float64 gives float64. The upstream is cast to that
+    dtype once; a non-finite upstream, or one that overflows in the cast,
+    raises NumericalError. The rank-weight softmax VJP runs in float64 and
+    its cotangent is cast at the end.
+
     Requires eval mode or dropout_prob = 0. theta_k sits behind the floor in
     adaptive_k and therefore gets zero gradient; graph structure is held
     fixed (top-k membership does not differentiate).
     """
     if cfg.mode == "train" and cfg.dropout_prob > 0.0:
         raise ValueError("dsga_vjp requires eval mode or dropout_prob = 0")
-    upstream = np.asarray(upstream, dtype=np.float64)
+    x = np.asarray(x)
+    upstream = np.asarray(upstream)
+    if upstream.shape != x.shape:
+        raise ValueError(f"upstream shape {upstream.shape} != output shape {x.shape}")
+    dt = np.result_type(x, params.down_w, params.down_b)
+    # a copy in the working dtype; it becomes dx (the residual term) at the end
+    with np.errstate(over="ignore"):  # an overflowing cast is reported below
+        upstream = check_finite(np.array(upstream, dtype=dt), "upstream")
     t = _forward_trace(x, params, cfg)
-    if upstream.shape != t["out"].shape:
-        raise ValueError(
-            f"upstream shape {upstream.shape} != output shape {t['out'].shape}"
-        )
     b, h, w, d = t["shape"]
     n = t["n"]
     dh = cfg.d_hidden
     graph: SimilarityGraph = t["graph"]
 
-    dx = upstream.copy()  # residual term
     uf = upstream.reshape(b * n, d)
 
     # up-projection; weight gradients are GEMMs over the flattened [B*N, .] rows
@@ -641,20 +665,15 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     d_fusion_w = t["g"].reshape(b * n, dh).T @ d_f
     d_g = matmul(d_f, params.fusion_w.T).reshape(b, n, dh)
 
-    # graph propagation: out_i = A_ii z_i + sum_r w_r/s * z_nbr
-    d_z = graph.self_weights[..., None] * d_g
+    # graph propagation: out_i = A_ii z_i + sum_r w_r/s * z_nbr; the graph's
+    # float64 weights are cast at use, as propagate casts them
+    d_z = graph.self_weights.astype(dt, copy=False)[..., None] * d_g
     d_w_used = np.zeros(graph.k)
     d_row_sum = 0.0
     row_sum = 1.0 + float(t["w_rank"][: graph.k].sum()) if graph.k > 0 else 1.0
     if graph.k > 0:
-        # scatter the cotangent back to neighbor features: d_z += E^T d_g with
-        # E[i, nbr(i, r)] = A_{i, nbr(i, r)}, block-diagonal over the batch
-        rows = np.arange(b * n * graph.k + 1, step=graph.k)
-        cols = (np.arange(b)[:, None, None] * n + graph.neighbors).reshape(-1)
-        edges = csr_array(
-            (graph.edge_weights.reshape(-1), cols, rows), shape=(b * n, b * n)
-        )
-        d_z += (edges.T @ d_g.reshape(b * n, dh)).reshape(b, n, dh)
+        # scatter the cotangent back to neighbor features: d_z += E^T d_g
+        d_z += (_edge_matrix(graph, dt).T @ d_g.reshape(b * n, dh)).reshape(b, n, dh)
         # cotangent on the normalized adjacency values, one rank at a time
         z = t["z"].astype(d_g.dtype, copy=False)
         bi = np.arange(b)[:, None]
@@ -669,15 +688,16 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
         ) / row_sum
     d_w_rank = np.zeros_like(t["w_rank"])
     d_w_rank[: graph.k] = d_w_used + d_row_sum
-    d_rank_logits = softmax_vjp(t["w_rank"], d_w_rank)
+    d_rank_logits = softmax_vjp(t["w_rank"], d_w_rank).astype(dt, copy=False)
     if params.rank_logits.size == 1:
-        d_rank_logits = np.zeros(1)
+        d_rank_logits = np.zeros(1, dt)
 
-    # activation and down-projection
-    d_pre = (d_z * gelu_grad(t["pre"])).reshape(b * n, dh)
+    # activation and down-projection; gelu_grad evaluates in float64
+    d_pre = (d_z * gelu_grad(t["pre"]).astype(dt, copy=False)).reshape(b * n, dh)
     xf = t["x"].reshape(b * n, d).astype(d_pre.dtype, copy=False)
     d_down_w = xf.T @ d_pre
     d_down_b = d_pre.sum(axis=0)
+    dx = upstream
     dx += matmul(d_pre, params.down_w.T).reshape(b, h, w, d)
 
     grads = DsgaParams(

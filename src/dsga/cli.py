@@ -185,10 +185,10 @@ def cmd_metrics_saliency(args) -> int:
 def cmd_metrics_instances(args) -> int:
     preds, _ = pipeline.load_candidates(args.pred_manifest)
     gt_manifest = Path(args.gt_manifest)
-    gt_data = fileio.read_json(gt_manifest)
-    if not isinstance(gt_data, dict) or "instances" not in gt_data:
-        raise ValidationError(f"{gt_manifest}: expected an 'instances' list")
-    gts = [fileio.read_mask(gt_manifest.parent / e["mask"]) for e in gt_data["instances"]]
+    gts = [
+        fileio.read_mask(gt_manifest.parent / e["mask"])
+        for e in pipeline.read_instance_manifest(gt_manifest)
+    ]
     report = detection_report(DetectionSet(predictions=preds, ground_truths=gts))
     _emit(report, args.out)
     return EXIT_OK

@@ -103,18 +103,27 @@ def lora_apply(layer: LoraLayer, x: np.ndarray) -> np.ndarray:
 
 def lora_vjp(layer: LoraLayer, x: np.ndarray, upstream: np.ndarray):
     """Cotangents of sum(upstream * lora_apply) wrt (x, A, B); W0 is frozen
-    and emits no cotangent."""
-    x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
+    and emits no cotangent.
+
+    The cotangents come back in the working dtype result_type(x, W0, A, B):
+    float32 input with a float32 layer gives float32, float64 gives float64.
+    The upstream is cast to that dtype once; a non-finite upstream, or one
+    that overflows in the cast, raises NumericalError.
+    """
+    x = np.asarray(x)
+    upstream = np.asarray(upstream)
     d, k_dim = layer.w0.shape
     if upstream.shape != x.shape[:-1] + (d,):
         raise ValueError(
             f"upstream shape {upstream.shape} incompatible with output [..., {d}]"
         )
-    xm = x.reshape(-1, k_dim)
-    um = upstream.reshape(-1, d)
+    dt = np.result_type(x, layer.w0, layer.a, layer.b)
+    with np.errstate(over="ignore"):  # an overflowing cast is reported below
+        um = check_finite(upstream.astype(dt, copy=False), "upstream").reshape(-1, d)
+    xm = x.reshape(-1, k_dim).astype(dt, copy=False)
     s = layer.scaling
-    dx = um @ layer.w0 + s * (um @ layer.b) @ layer.a
+    dx = um @ layer.w0
+    dx += s * (um @ layer.b) @ layer.a
     da = s * (layer.b.T @ um.T) @ xm
     db = s * um.T @ (xm @ layer.a.T)
     return dx.reshape(x.shape), da, db

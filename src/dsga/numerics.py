@@ -69,8 +69,8 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
     """d/dx of exact GELU: Phi(x) + x * pdf(x), in float64 whatever the dtype
-    of ``x``: it feeds the float64 cotangents, and a float32 exp(-x^2 / 2)
-    would carry single-precision rounding into them."""
+    of ``x``: a float32 exp(-x^2 / 2) would add its own rounding to the
+    cotangents, so callers cast the float64 result to their working dtype."""
     x = np.asarray(x, dtype=np.float64)
     cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
     pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)

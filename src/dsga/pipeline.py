@@ -21,7 +21,7 @@ from .adapter import (
     init_dsga_params,
     parameter_count,
 )
-from .config import PipelineConfig, ValidationError
+from .config import PipelineConfig, ValidationError, _typed
 from .lora import LoraLayer, init_lora_layer, lora_apply, lora_parameter_count, lora_vjp
 from .losses import LossHyper, LossWeights, combined_loss, loss_grads
 from .metrics import DetectionSet, detection_report, evaluate_saliency
@@ -276,27 +276,49 @@ def gradcheck_all(seed: int = 0, instances: int = 10) -> list[GradcheckResult]:
 # stage transition
 
 
-def load_candidates(manifest_path, expected_shape=None):
-    manifest_path = Path(manifest_path)
+def read_instance_manifest(manifest_path) -> list[dict]:
+    """The entries of a JSON instance manifest ``{"instances": [...]}``: a
+    list of objects, each naming its mask file, relative to the manifest, by
+    the string ``mask``. Anything else raises FileFormatError."""
     data = fileio.read_json(manifest_path)
-    if not isinstance(data, dict) or "instances" not in data:
+    entries = data.get("instances") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
         raise fileio.FileFormatError(f"{manifest_path}: expected an 'instances' list")
-    out = []
-    for i, entry in enumerate(data["instances"]):
-        try:
-            mask_name = entry["mask"]
-            score = float(entry["score"])
-        except (KeyError, TypeError) as exc:
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
             raise fileio.FileFormatError(
-                f"{manifest_path}: instance {i} needs 'mask' and 'score'"
-            ) from exc
-        mask = fileio.read_mask(manifest_path.parent / mask_name)
+                f"{manifest_path}: instance {i} must be an object, got {entry!r}"
+            )
+        _manifest_field(manifest_path, i, entry, "mask", "")
+    return entries
+
+
+def _manifest_field(manifest_path, i, entry, key, default):
+    """entry[key] if its JSON type matches ``default``'s (see config._typed)."""
+    try:
+        return _typed(f"instance {i} {key!r}", entry.get(key), default)
+    except ValidationError as exc:
+        raise fileio.FileFormatError(f"{manifest_path}: {exc}") from exc
+
+
+def load_candidates(manifest_path, expected_shape=None):
+    """Scored candidate masks of an instance manifest, and each entry's
+    ``prompt_index`` (None where absent). Each entry needs a numeric
+    ``score``; a ``prompt_index`` must be an int."""
+    manifest_path = Path(manifest_path)
+    entries = read_instance_manifest(manifest_path)
+    out = []
+    for i, entry in enumerate(entries):
+        score = float(_manifest_field(manifest_path, i, entry, "score", 0.0))
+        if entry.get("prompt_index") is not None:
+            _manifest_field(manifest_path, i, entry, "prompt_index", 0)
+        mask = fileio.read_mask(manifest_path.parent / entry["mask"])
         if expected_shape is not None and mask.shape != expected_shape:
             raise ValidationError(
                 f"candidate {i} has shape {mask.shape}, expected {expected_shape}"
             )
         out.append(ScoredInstance(mask=mask, score=score, source_prompt=None))
-    return out, [entry.get("prompt_index") for entry in data["instances"]]
+    return out, [entry.get("prompt_index") for entry in entries]
 
 
 def run_stage_transition(

@@ -10,7 +10,8 @@ from dsga.lora import (
     lora_parameter_count,
     lora_vjp,
 )
-from dsga.numerics import finite_diff_grad
+from dsga import pipeline
+from dsga.numerics import NumericalError, finite_diff_grad
 from dsga.pipeline import max_hybrid_error
 
 
@@ -131,6 +132,67 @@ class TestLoraVjp:
         assert max_hybrid_error(dx, finite_diff_grad(f_x, x)) <= 1e-4
         assert max_hybrid_error(da, finite_diff_grad(f_a, layer.a)) <= 1e-4
         assert max_hybrid_error(db, finite_diff_grad(f_b, layer.b)) <= 1e-4
+
+
+def lora_vjp_before(layer, x, upstream):
+    """lora_vjp as it was when it always worked in float64: the bit-exact
+    oracle of its float64 path."""
+    x = np.asarray(x, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    d, k_dim = layer.w0.shape
+    xm = x.reshape(-1, k_dim)
+    um = upstream.reshape(-1, d)
+    s = layer.scaling
+    dx = um @ layer.w0 + s * (um @ layer.b) @ layer.a
+    da = s * (layer.b.T @ um.T) @ xm
+    db = s * um.T @ (xm @ layer.a.T)
+    return dx.reshape(x.shape), da, db
+
+
+def cast_layer(layer, dtype):
+    return LoraLayer(layer.w0.astype(dtype), layer.a.astype(dtype), layer.b.astype(dtype),
+                     layer.rank, layer.alpha)
+
+
+class TestLoraVjpPrecision:
+    def cases(self):
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            d, k_dim = int(rng.integers(2, 40)), int(rng.integers(2, 40))
+            r = int(rng.integers(1, min(d, k_dim) + 1))
+            layer = random_layer(rng, d, k_dim, r, alpha=float(rng.uniform(0.5, 4.0)))
+            lead = tuple(int(v) for v in rng.integers(1, 6, size=int(rng.integers(1, 3))))
+            yield layer, rng.standard_normal(lead + (k_dim,)), rng.standard_normal(lead + (d,))
+
+    def test_float64_bitwise_unchanged(self):
+        # float64 x with a float64 or a float32 layer works in float64
+        for layer, x, upstream in self.cases():
+            for lay in (layer, cast_layer(layer, np.float32)):
+                for got, ref in zip(lora_vjp(lay, x, upstream), lora_vjp_before(lay, x, upstream)):
+                    assert got.dtype == ref.dtype == np.float64
+                    assert got.tobytes() == ref.tobytes()
+
+    def test_float32_within_bound_of_float64(self):
+        for layer, x, upstream in self.cases():
+            layer32, x32 = cast_layer(layer, np.float32), x.astype(np.float32)
+            ref = lora_vjp(cast_layer(layer32, np.float64), x32.astype(np.float64), upstream)
+            for got, want in zip(lora_vjp(layer32, x32, upstream), ref):
+                assert got.dtype == np.float32 and got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+    def test_upstream_overflow_raises(self):
+        layer = cast_layer(random_layer(np.random.default_rng(12)), np.float32)
+        upstream = np.zeros((3, 6))
+        upstream[1, 2] = -1e39  # finite in float64, beyond float32's range
+        with pytest.raises(NumericalError, match="upstream"):
+            lora_vjp(layer, np.ones((3, 5), np.float32), upstream)
+        dx, _, _ = lora_vjp(layer, np.ones((3, 5)), upstream)  # float64 x: no cast
+        assert dx.dtype == np.float64 and np.isfinite(dx).all()
+
+    def test_gradcheck_errors_unchanged(self, monkeypatch):
+        results = [r.as_dict() for r in pipeline.gradcheck_all(seed=0, instances=3)]
+        monkeypatch.setattr(pipeline, "lora_vjp", lora_vjp_before)
+        assert [r.as_dict() for r in pipeline.gradcheck_all(seed=0, instances=3)] == results
 
 
 class TestLoraParameterCount:

@@ -441,6 +441,44 @@ class TestCli:
         assert report["ap50"] == 1.0 and report["matched_iou_mean"] == 1.0
         assert set(report) >= {"precision", "recall", "f1", "ap50", "matched_iou_mean"}
 
+    # (command, manifest data, words the message must contain): each exits 2
+    # with one "i/o error" line, not a traceback
+    MALFORMED_MANIFESTS = {
+        "instances_not_a_list": ("dedup", {"instances": 5}, ["'instances' list"]),
+        "mask_not_a_string": ("dedup", {"instances": [{"mask": 5, "score": 0.5}]},
+                              ["instance 0", "'mask'", "a string"]),
+        "mask_missing": ("dedup", {"instances": [{"score": 0.5}]}, ["'mask'", "a string"]),
+        "score_a_string": ("dedup", {"instances": [{"mask": "cand_0.pgm", "score": "0.5"}]},
+                           ["'score'", "a number"]),
+        "prompt_index_a_bool": ("dedup", {"instances": [
+            {"mask": "cand_0.pgm", "score": 0.5, "prompt_index": True}]},
+            ["'prompt_index'", "an int"]),
+        "prompt_index_a_float": ("dedup", {"instances": [
+            {"mask": "cand_0.pgm", "score": 0.5, "prompt_index": 1.0}]},
+            ["'prompt_index'", "an int"]),
+        "gt_entry_not_an_object": ("gt", {"instances": [7]}, ["instance 0", "an object"]),
+        "gt_mask_not_a_string": ("gt", {"instances": [{"mask": None}]}, ["'mask'", "a string"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_exits_two(self, tmp_path, capsys, case):
+        command, data, words = self.MALFORMED_MANIFESTS[case]
+        _, good, _ = three_blob_fixture(tmp_path)
+        bad = tmp_path / "bad.json"
+        fileio.write_json(bad, data)
+        if command == "dedup":
+            argv = ["instances", "dedup", "--manifest", str(bad), "--iou-threshold", "0.75"]
+        else:
+            argv = ["metrics", "instances", "--pred-manifest", str(good),
+                    "--gt-manifest", str(bad)]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
+        assert all(word in captured.err for word in words), captured.err
+        assert not (tmp_path / "out.json").exists()
+
     def test_audit_cli(self, tmp_path, capsys):
         assert main(["audit", "params"]) == 0
         out = json.loads(capsys.readouterr().out)
