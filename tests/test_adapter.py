@@ -1194,7 +1194,7 @@ class TestVjpOracle:
             self.assert_rel_close(value, getattr(ref, name), name, np.float32, F32_VJP_RTOL)
         # each gate cotangent is one sum over every hidden element, which can
         # cancel to far below its terms (on the benchmark's fields down to
-        # 1/20000 of them); its float32 error scales with the terms (measured
+        # 1/18000 of them); its float32 error scales with the terms (measured
         # at about 2e-9 of their magnitude sum), so the bound does too
         t = adapter._forward_trace(x, params, cfg)
         d_zp = np.abs(upstream.reshape(-1, 768) @ params.up_w.T.astype(np.float64))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dsga import pipeline
 from dsga.adapter import DsgaConfig, init_dsga_params, parameter_count
 from dsga.lora import (
     LoraConfig,
@@ -10,7 +11,6 @@ from dsga.lora import (
     lora_parameter_count,
     lora_vjp,
 )
-from dsga import pipeline
 from dsga.numerics import NumericalError, finite_diff_grad
 from dsga.pipeline import max_hybrid_error
 
