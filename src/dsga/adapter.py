@@ -180,10 +180,7 @@ def init_rank_weights(k_max: int, p: float) -> np.ndarray:
 
 def rank_weights(raw: np.ndarray) -> np.ndarray:
     """Softmax over the rank logits; positive, sums to 1, one weight per rank."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.size == 1:
-        return np.array([1.0])
-    return softmax(raw)
+    return softmax(np.asarray(raw, dtype=np.float64))
 
 
 def adaptive_k(theta_k: float, k_max: int) -> int:
@@ -469,7 +466,7 @@ def _dual_pool_trace(zp: np.ndarray):
         np.maximum(argmax, (window > mx) * np.uint8(o), out=argmax)
         np.maximum(mx, window, out=mx)
         acc += window
-    return mx, acc / 9, argmax.astype(np.intp)
+    return mx, acc / 9, argmax
 
 
 def dual_pool(zp: np.ndarray):
@@ -482,14 +479,13 @@ def dual_pool(zp: np.ndarray):
 def _dual_pool_vjp(dmx, dav, argmax):
     """Adjoint of the dual pool, in the cotangents' dtype."""
     b, h, w, c = argmax.shape
-    am = argmax.astype(np.uint8)
     dpadded = np.zeros((b, h + 2, w + 2, c), dtype=dmx.dtype)
     dav9 = dav / 9.0
     term = np.empty_like(dmx)
     for o, (dy, dx) in enumerate(_OFFSETS):
-        # (am == o) * dmx is dmx or a signed zero; a -0 term adds the same
+        # (argmax == o) * dmx is dmx or a signed zero; a -0 term adds the same
         # bits as +0, because the +0-started accumulator never becomes -0
-        np.multiply(am == o, dmx, out=term)
+        np.multiply(argmax == o, dmx, out=term)
         term += dav9
         dpadded[:, dy : dy + h, dx : dx + w] += term
     return _fold_reflect(_fold_reflect(dpadded, 1), 2)
@@ -689,8 +685,6 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     d_w_rank = np.zeros_like(t["w_rank"])
     d_w_rank[: graph.k] = d_w_used + d_row_sum
     d_rank_logits = softmax_vjp(t["w_rank"], d_w_rank).astype(dt, copy=False)
-    if params.rank_logits.size == 1:
-        d_rank_logits = np.zeros(1, dt)
 
     # activation and down-projection; gelu_grad evaluates in float64
     d_pre = (d_z * gelu_grad(t["pre"]).astype(dt, copy=False)).reshape(b * n, dh)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fileio, pipeline
 from .adapter import dsga_forward
-from .config import PipelineConfig, ValidationError
+from .config import PipelineConfig, ValidationError, _typed
 from .lora import LoraLayer, lora_apply
 from .losses import (
     LossHyper,
@@ -90,15 +90,10 @@ def cmd_prompts_generate(args) -> int:
 
 
 def cmd_instances_dedup(args) -> int:
-    manifest = Path(args.manifest)
-    candidates, _ = pipeline.load_candidates(manifest)
+    candidates, manifest_entries = pipeline.load_candidates(args.manifest)
     kept = dedup_instances(candidates, tau_o=args.iou_threshold)
-    data = fileio.read_json(manifest)
-    kept_ids = []
     by_id = {id(c): i for i, c in enumerate(candidates)}
-    for inst in kept:
-        kept_ids.append(by_id[id(inst)])
-    entries = [data["instances"][i] for i in kept_ids]
+    entries = [manifest_entries[by_id[id(inst)]] for inst in kept]
     _emit({"count": len(entries), "instances": entries}, args.out)
     return EXIT_OK
 
@@ -120,6 +115,21 @@ def cmd_loss_eval(args) -> int:
     return EXIT_OK
 
 
+def _trace_contributions(path, lineno: int, line: str) -> list:
+    """The ``contributions`` of one trace line, three numbers; a malformed
+    line raises FileFormatError naming the file and the line."""
+    try:
+        record = json.loads(line)
+        values = record.get("contributions") if isinstance(record, dict) else None
+        if not (isinstance(values, list) and len(values) == 3):
+            raise ValidationError("expected an object with a 3-element 'contributions' list")
+        return [_typed(f"contribution {i}", v, 0.0) for i, v in enumerate(values)]
+    except json.JSONDecodeError as exc:
+        raise fileio.FileFormatError(f"{path}: line {lineno}: invalid JSON") from exc
+    except ValidationError as exc:
+        raise fileio.FileFormatError(f"{path}: line {lineno}: {exc}") from exc
+
+
 def cmd_loss_ema_sim(args) -> int:
     weights = LossWeights(ema_beta=args.beta)
     state = ContributionState()
@@ -129,10 +139,8 @@ def cmd_loss_ema_sim(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            values = record["contributions"]
             contributions, state = contributions_from_components(
-                values, state, mode=args.mode
+                _trace_contributions(args.trace, step + 1, line), state, mode=args.mode
             )
             weights = ema_update(weights, contributions)
             used = ema_normalized(weights)

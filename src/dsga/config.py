@@ -6,11 +6,10 @@ are the main reproducibility hazard this guards against.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .adapter import DsgaConfig
 from .lora import LoraConfig
-from .losses import LossHyper, LossWeights
 from .prompts import PromptConfig
 
 __all__ = ["ValidationError", "BackboneProfile", "PipelineConfig"]
@@ -35,65 +34,42 @@ class BackboneProfile:
 
 @dataclass
 class PipelineConfig:
+    """The sections the toolkit reads; loss hyperparameters are not one of
+    them (``dsga loss eval`` takes them as flags)."""
+
     dsga: DsgaConfig = field(default_factory=lambda: DsgaConfig(embed_dim=768))
     lora: LoraConfig = field(default_factory=LoraConfig)
     prompt: PromptConfig = field(default_factory=PromptConfig)
-    loss_weights: LossWeights = field(default_factory=LossWeights)
-    loss_hyper: LossHyper = field(default_factory=LossHyper)
     backbone: BackboneProfile = field(default_factory=BackboneProfile)
 
     def to_dict(self) -> dict:
-        return {
-            "dsga": asdict(self.dsga),
-            "lora": {**asdict(self.lora), "targets": list(self.lora.targets)},
-            "prompt": asdict(self.prompt),
-            "loss": {
-                "weights": list(self.loss_weights.lams),
-                "ema_beta": self.loss_weights.ema_beta,
-                **asdict(self.loss_hyper),
-            },
-            "backbone": asdict(self.backbone),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         if not isinstance(data, dict):
             raise ValidationError(f"config root must be an object, got {type(data).__name__}")
         base = cls()
-        sections = dict(data)
+        names = [f.name for f in fields(cls)]
+        unknown = set(data) - set(names)
+        if unknown:
+            raise ValidationError(f"unknown config sections: {sorted(unknown)}")
         try:
-            dsga_cfg = _merge("dsga", sections.pop("dsga", {}), base.dsga, DsgaConfig)
-            lora_cfg = _merge("lora", sections.pop("lora", {}), base.lora, LoraConfig)
-            prompt_cfg = _merge(
-                "prompt", sections.pop("prompt", {}), base.prompt, PromptConfig
-            )
-            loss_weights, loss_hyper = _parse_loss(sections.pop("loss", {}))
-            backbone = _merge(
-                "backbone", sections.pop("backbone", {}), base.backbone, BackboneProfile
-            )
+            cfg = cls(**{n: _merge(n, data.get(n, {}), getattr(base, n)) for n in names})
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-        if sections:
-            raise ValidationError(f"unknown config sections: {sorted(sections)}")
         # the adapter and the audit read the token width from different
         # sections; a config that sets both must agree with itself
         if (
             "embed_dim" in data.get("dsga", {})
             and "embed_dim" in data.get("backbone", {})
-            and dsga_cfg.embed_dim != backbone.embed_dim
+            and cfg.dsga.embed_dim != cfg.backbone.embed_dim
         ):
             raise ValidationError(
-                f"dsga.embed_dim = {dsga_cfg.embed_dim} differs from "
-                f"backbone.embed_dim = {backbone.embed_dim}"
+                f"dsga.embed_dim = {cfg.dsga.embed_dim} differs from "
+                f"backbone.embed_dim = {cfg.backbone.embed_dim}"
             )
-        return cls(
-            dsga=dsga_cfg,
-            lora=lora_cfg,
-            prompt=prompt_cfg,
-            loss_weights=loss_weights,
-            loss_hyper=loss_hyper,
-            backbone=backbone,
-        )
+        return cfg
 
 
 def _typed(name: str, value, default):
@@ -114,41 +90,16 @@ def _typed(name: str, value, default):
     return value
 
 
-def _merge(section: str, data: dict, defaults, cls):
+def _merge(section: str, data: dict, defaults):
+    """A ``type(defaults)`` with the keys of ``data`` typed and set over it."""
     if not isinstance(data, dict):
         raise ValidationError(f"section {section!r} must be an object")
-    fields = {k: getattr(defaults, k) for k in defaults.__dataclass_fields__}
-    extra = set(data) - set(fields)
+    values = asdict(defaults)
+    extra = set(data) - set(values)
     if extra:
         raise ValidationError(f"unknown keys in section {section!r}: {sorted(extra)}")
     for key, value in data.items():
-        # a field declared with default None (lora.alpha) also takes null
-        if value is not None or cls.__dataclass_fields__[key].default is not None:
-            value = _typed(f"{section}.{key}", value, fields[key])
-        fields[key] = value
-    if "targets" in fields and isinstance(fields["targets"], list):
-        fields["targets"] = tuple(fields["targets"])
-    return cls(**fields)
-
-
-def _parse_loss(data: dict):
-    if not isinstance(data, dict):
-        raise ValidationError("section 'loss' must be an object")
-    data = dict(data)
-    weights = data.pop("weights", [1.0, 1.0, 1.0])
-    if not (isinstance(weights, (list, tuple)) and len(weights) == 3):
-        raise ValidationError(f"loss.weights must be a 3-element list, got {weights!r}")
-    lams = [float(_typed("loss.weights", w, 1.0)) for w in weights]
-
-    def take(key, default):
-        return _typed(f"loss.{key}", data.pop(key, default), default)
-
-    lw = LossWeights(*lams, ema_beta=float(take("ema_beta", 0.9)))
-    hyper = LossHyper(
-        focal_gamma=float(take("focal_gamma", 2.0)),
-        focal_alpha=float(take("focal_alpha", 0.25)),
-        dice_smooth=float(take("dice_smooth", 1.0)),
-    )
-    if data:
-        raise ValidationError(f"unknown keys in section 'loss': {sorted(data)}")
-    return lw, hyper
+        values[key] = _typed(f"{section}.{key}", value, values[key])
+    if isinstance(values.get("targets"), list):
+        values["targets"] = tuple(values["targets"])
+    return type(defaults)(**values)

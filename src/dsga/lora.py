@@ -58,7 +58,6 @@ class LoraConfig:
     rank: int = 8
     targets: Sequence[str] = ("query", "value")
     num_layers: int = 12
-    alpha: float | None = None  # defaults to rank (scaling factor 1)
 
     def __post_init__(self) -> None:
         if self.rank < 1:
@@ -72,8 +71,6 @@ class LoraConfig:
             raise ValueError(f"duplicate targets in {list(self.targets)}")
         if self.num_layers < 0:
             raise ValueError(f"num_layers must be >= 0, got {self.num_layers}")
-        if self.alpha is None:
-            self.alpha = float(self.rank)
 
 
 def init_lora_layer(

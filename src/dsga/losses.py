@@ -94,7 +94,7 @@ def _as_probs(pred: np.ndarray) -> np.ndarray:
     pred = np.asarray(pred, dtype=np.float64)
     if pred.ndim != 2:
         raise ValueError(f"prediction must be 2-D, got shape {pred.shape}")
-    if pred.min() < 0.0 or pred.max() > 1.0:
+    if not (pred.min() >= 0.0 and pred.max() <= 1.0):  # NaN fails too
         raise ValueError("prediction probabilities must lie in [0, 1]")
     return pred
 

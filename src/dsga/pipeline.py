@@ -141,8 +141,17 @@ def _gradcheck_result(op: str, errors: dict, instances: int) -> GradcheckResult:
     return GradcheckResult(op, max(errors.values(), default=0.0), 1e-4, instances, errors)
 
 
-def _record(errors: dict, name: str, analytic, numeric) -> None:
-    errors[name] = max(errors.get(name, 0.0), max_hybrid_error(analytic, numeric))
+# the scalar parameters of DsgaParams
+_GATES = ("theta_k", "w_p_raw", "w_n_raw")
+
+
+def _fd_errors(errors: dict, point: dict, analytic: dict, value, h_step: float) -> None:
+    """Fold into ``errors`` the worst error of each analytic cotangent against
+    central differences of ``value(name, theta)``, the scalar objective with
+    input ``name`` set to ``theta``, taken around ``point[name]``."""
+    for name, theta in point.items():
+        fd = finite_diff_grad(lambda t: value(name, t), theta, h_step)
+        errors[name] = max(errors.get(name, 0.0), max_hybrid_error(analytic[name], fd))
 
 
 def _dsga_instance(rng: np.random.Generator):
@@ -174,27 +183,19 @@ def gradcheck_dsga(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> 
         cfg, params, x, upstream = _dsga_instance(rng)
         dx, grads = dsga_vjp(x, params, cfg, upstream)
 
-        def scalar_for(name):
-            def f(theta):
-                if name == "x":
-                    out, _ = dsga_forward(theta, params, cfg)
-                elif name in ("theta_k", "w_p_raw", "w_n_raw"):
-                    p2 = replace(params, **{name: float(theta.reshape(()))})
-                    out, _ = dsga_forward(x, p2, cfg)
-                else:
-                    p2 = replace(params, **{name: theta})
-                    out, _ = dsga_forward(x, p2, cfg)
-                return float(np.sum(upstream * out))
+        def value(name, theta):
+            if name == "x":
+                out, _ = dsga_forward(theta, params, cfg)
+            else:
+                if name in _GATES:
+                    theta = float(theta.reshape(()))
+                out, _ = dsga_forward(x, replace(params, **{name: theta}), cfg)
+            return float(np.sum(upstream * out))
 
-            return f
-
-        _record(errors, "x", dx, finite_diff_grad(scalar_for("x"), x, h_step))
-        for name, value in grads.named_arrays().items():
-            fd = finite_diff_grad(scalar_for(name), getattr(params, name), h_step)
-            _record(errors, name, value, fd)
-        for name in ("theta_k", "w_p_raw", "w_n_raw"):
-            fd = finite_diff_grad(scalar_for(name), np.array(getattr(params, name)), h_step)
-            _record(errors, name, getattr(grads, name), fd)
+        gates = {n: np.array(getattr(params, n)) for n in _GATES}
+        point = {"x": x, **params.named_arrays(), **gates}
+        analytic = {"x": dx, **grads.named_arrays(), **{n: getattr(grads, n) for n in _GATES}}
+        _fd_errors(errors, point, analytic, value, h_step)
     return _gradcheck_result("dsga_vjp", errors, instances)
 
 
@@ -217,19 +218,13 @@ def gradcheck_lora(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> 
         upstream = rng.standard_normal((3, d))
         dx, da, db = lora_vjp(layer, x, upstream)
 
-        def with_factors(a=None, b=None, xs=None):
-            lay = LoraLayer(
-                w0=layer.w0,
-                a=layer.a if a is None else a,
-                b=layer.b if b is None else b,
-                rank=layer.rank,
-                alpha=layer.alpha,
-            )
-            return float(np.sum(upstream * lora_apply(lay, x if xs is None else xs)))
+        def value(name, theta):
+            if name == "x":
+                return float(np.sum(upstream * lora_apply(layer, theta)))
+            return float(np.sum(upstream * lora_apply(replace(layer, **{name: theta}), x)))
 
-        _record(errors, "x", dx, finite_diff_grad(lambda t: with_factors(xs=t), x, h_step))
-        _record(errors, "a", da, finite_diff_grad(lambda t: with_factors(a=t), layer.a, h_step))
-        _record(errors, "b", db, finite_diff_grad(lambda t: with_factors(b=t), layer.b, h_step))
+        point = {"x": x, "a": layer.a, "b": layer.b}
+        _fd_errors(errors, point, {"x": dx, "a": da, "b": db}, value, h_step)
     return _gradcheck_result("lora_vjp", errors, instances)
 
 
@@ -251,13 +246,12 @@ def gradcheck_loss(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> 
             lam2=float(rng.uniform(0.2, 2.0)),
             lam3=float(rng.uniform(0.2, 2.0)),
         )
-        analytic = loss_grads(pred, gt, weights, hyper)
 
-        def total(p):
-            t, _ = combined_loss(np.clip(p, 0.0, 1.0), gt, weights, hyper)
-            return t
+        def value(_, p):
+            return combined_loss(np.clip(p, 0.0, 1.0), gt, weights, hyper)[0]
 
-        _record(errors, "pred", analytic, finite_diff_grad(total, pred, h_step))
+        analytic = {"pred": loss_grads(pred, gt, weights, hyper)}
+        _fd_errors(errors, {"pred": pred}, analytic, value, h_step)
     return _gradcheck_result("loss_grads", errors, instances)
 
 
@@ -302,9 +296,9 @@ def _manifest_field(manifest_path, i, entry, key, default):
 
 
 def load_candidates(manifest_path, expected_shape=None):
-    """Scored candidate masks of an instance manifest, and each entry's
-    ``prompt_index`` (None where absent). Each entry needs a numeric
-    ``score``; a ``prompt_index`` must be an int."""
+    """Scored candidate masks of an instance manifest, and the manifest's
+    validated entries in the same order. Each entry needs a numeric
+    ``score``; a ``prompt_index``, where present, must be an int."""
     manifest_path = Path(manifest_path)
     entries = read_instance_manifest(manifest_path)
     out = []
@@ -318,7 +312,7 @@ def load_candidates(manifest_path, expected_shape=None):
                 f"candidate {i} has shape {mask.shape}, expected {expected_shape}"
             )
         out.append(ScoredInstance(mask=mask, score=score, source_prompt=None))
-    return out, [entry.get("prompt_index") for entry in entries]
+    return out, entries
 
 
 def run_stage_transition(
@@ -328,8 +322,9 @@ def run_stage_transition(
     by prompt index when given) -> deduplicated instances + count."""
     mask = fileio.read_mask(fg_mask_path)
     prompts = generate_prompts(mask, cfg.prompt)
-    candidates, prompt_indices = load_candidates(candidates_manifest, mask.shape)
-    for cand, idx in zip(candidates, prompt_indices):
+    candidates, entries = load_candidates(candidates_manifest, mask.shape)
+    for cand, entry in zip(candidates, entries):
+        idx = entry.get("prompt_index")
         if idx is not None:
             if not 0 <= idx < len(prompts):
                 raise ValidationError(
@@ -372,7 +367,7 @@ def read_params_bundle(bundle_dir) -> DsgaParams:
         if not path.exists():
             raise fileio.FileFormatError(f"params bundle is missing {fname}")
         arr = fileio.read_tns(path)
-        loaded[attr] = float(arr.reshape(())) if attr in ("theta_k", "w_p_raw", "w_n_raw") else arr
+        loaded[attr] = float(arr.reshape(())) if attr in _GATES else arr
     return DsgaParams(**loaded)
 
 

@@ -853,13 +853,14 @@ class TestDsgaVjp:
 
 
 def stacked_dual_pool(zp):
-    """max, mean and argmax over a stack of the 9 reflect-padded offsets."""
+    """max, mean and argmax over a stack of the 9 reflect-padded offsets; the
+    argmax (an offset index 0..8) in the trace's uint8."""
     _, h, w, _ = zp.shape
     padded = zp[:, adapter._reflect_indices(h)][:, :, adapter._reflect_indices(w)]
     stack = np.stack(
         [padded[:, dy : dy + h, dx : dx + w] for dy in range(3) for dx in range(3)], axis=0
     )
-    return stack.max(axis=0), stack.mean(axis=0), stack.argmax(axis=0)
+    return stack.max(axis=0), stack.mean(axis=0), stack.argmax(axis=0).astype(np.uint8)
 
 
 def gathered_propagate(graph, z):
@@ -1022,8 +1023,8 @@ class TestForwardPieceOracle:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_running_argmax_matches_stack(self, dtype):
-        # the argmax runs in uint8 and is widened at the end: it must be the
-        # stack's first-index argmax, as intp, where windows tie
+        # the argmax runs and stays in uint8: it must be the stack's
+        # first-index argmax where windows tie
         rng = np.random.default_rng(73)
         for b, h, w in [(1, 1, 1), (2, 1, 6), (1, 7, 1), (1, 1, 2), (2, 5, 4), (1, 8, 9)]:
             signed_zeros = np.where(rng.random((b, h, w, 4)) < 0.5, 0.0, -0.0)
@@ -1037,7 +1038,7 @@ class TestForwardPieceOracle:
                 values = np.ascontiguousarray(values, dtype=dtype)
                 mx, av, argmax = adapter._dual_pool_trace(values)
                 ref_mx, ref_av, ref_argmax = stacked_dual_pool(values)
-                assert argmax.dtype == np.intp and argmax.tobytes() == ref_argmax.tobytes()
+                assert argmax.dtype == np.uint8 and argmax.tobytes() == ref_argmax.tobytes()
                 assert mx.dtype == dtype and mx.tobytes() == ref_mx.tobytes()
                 assert av.dtype == dtype and av.tobytes() == ref_av.tobytes()
 

@@ -208,10 +208,6 @@ class TestLoraParameterCount:
         cfg = LoraConfig(num_layers=0)
         assert lora_parameter_count(cfg, 768, 768) == 0
 
-    def test_alpha_defaults_to_rank(self):
-        assert LoraConfig(rank=8).alpha == 8.0
-        assert LoraConfig(rank=8, alpha=16.0).alpha == 16.0
-
     def test_validation(self):
         with pytest.raises(ValueError, match="targets"):
             LoraConfig(targets=())

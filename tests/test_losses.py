@@ -273,3 +273,33 @@ class TestDistanceMapType:
     def test_carries_shape_and_flag(self):
         dm = DistanceMap(phi=np.zeros((2, 2)), degenerate=True)
         assert dm.phi.shape == (2, 2) and dm.degenerate
+
+
+def _bad_map(value):
+    pred = np.full((4, 4), 0.5)
+    pred[1, 2] = value
+    return pred
+
+
+LOSS_CALLS = {
+    "focal_loss": lambda p, gt: focal_loss(p, gt),
+    "dice_loss": lambda p, gt: dice_loss(p, gt),
+    "boundary_loss": lambda p, gt: boundary_loss(p, signed_distance(gt)),
+    "combined_loss": lambda p, gt: combined_loss(p, gt, LossWeights()),
+    "loss_grads": lambda p, gt: loss_grads(p, gt, LossWeights()),
+}
+
+
+class TestPredictionRange:
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf, -0.1, 1.5])
+    @pytest.mark.parametrize("name", list(LOSS_CALLS))
+    def test_out_of_range_or_nan_rejected(self, name, value):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            LOSS_CALLS[name](_bad_map(value), half_foreground((4, 4)))
+
+    @pytest.mark.parametrize("name", list(LOSS_CALLS))
+    def test_closed_interval_accepted(self, name):
+        pred = np.tile([0.0, 1.0, -0.0, 0.5], (4, 1))
+        result = LOSS_CALLS[name](pred, half_foreground((4, 4)))
+        total = result[0] if isinstance(result, tuple) else result  # combined_loss
+        assert np.all(np.isfinite(total))

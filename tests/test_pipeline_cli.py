@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsga import fileio
+from dsga import fileio, pipeline
 from dsga.adapter import DsgaConfig, dsga_forward, init_dsga_params
 from dsga.cli import main
 from dsga.config import PipelineConfig, ValidationError
@@ -25,18 +25,19 @@ class TestConfig:
     def test_round_trip(self):
         cfg = PipelineConfig()
         data = cfg.to_dict()
-        again = PipelineConfig.from_dict(data)
-        assert again.to_dict() == data
+        assert list(data) == ["dsga", "lora", "prompt", "backbone"]
+        again = PipelineConfig.from_dict(json.loads(json.dumps(data)))
+        assert again == cfg and again.to_dict() == data
 
     def test_round_trip_with_overrides(self):
         data = PipelineConfig().to_dict()
         data["dsga"]["k_max"] = 4
         data["lora"]["rank"] = 16
-        data["loss"]["weights"] = [2.0, 1.0, 0.5]
+        data["prompt"]["grid_size"] = 32
         cfg = PipelineConfig.from_dict(data)
         assert cfg.dsga.k_max == 4
         assert cfg.lora.rank == 16
-        assert cfg.loss_weights.lams == (2.0, 1.0, 0.5)
+        assert cfg.prompt.grid_size == 32
         assert PipelineConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
     def test_unknown_section_rejected(self):
@@ -46,26 +47,45 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown keys"):
             PipelineConfig.from_dict({"dsga": {"embed_dims": 768}})
-        with pytest.raises(ValidationError, match="unknown keys"):
-            PipelineConfig.from_dict({"loss": {"gamma": 2.0}})
+        with pytest.raises(ValidationError, match="unknown keys in section 'prompt'"):
+            PipelineConfig.from_dict({"prompt": {"grid": 64}})
 
     def test_removed_ema_enabled_key_rejected(self, tmp_path):
-        assert "ema_enabled" not in PipelineConfig().to_dict()["loss"]
-        with pytest.raises(ValidationError, match="unknown keys in section 'loss'"):
+        # the whole loss section is gone, ema_enabled with it
+        assert "loss" not in PipelineConfig().to_dict()
+        with pytest.raises(ValidationError, match=r"unknown config sections: \['loss'\]"):
             PipelineConfig.from_dict({"loss": {"ema_enabled": True}})
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"loss": {"ema_enabled": false}}')
         assert main(["audit", "params", "--config", str(cfg)]) == 1
+
+    # loss hyperparameters are `dsga loss eval` flags, and lora.alpha was never
+    # read: a config that sets either exits 1 with one validation line
+    @pytest.mark.parametrize("data, message", [
+        ({"loss": {}}, "unknown config sections: ['loss']"),
+        ({"loss": {"weights": [1.0, 1.0, 1.0], "focal_gamma": 2.0}},
+         "unknown config sections: ['loss']"),
+        ({"lora": {"alpha": 8.0}}, "unknown keys in section 'lora': ['alpha']"),
+        ({"lora": {"rank": 4, "alpha": None}}, "unknown keys in section 'lora': ['alpha']"),
+    ])
+    def test_removed_loss_section_and_lora_alpha_rejected(self, tmp_path, capsys, data, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["audit", "params", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == f"validation error: {message}\n"
 
     def test_invalid_value_rejected(self):
         with pytest.raises(ValidationError):
             PipelineConfig.from_dict({"dsga": {"reduction_ratio": 0.0}})
 
     @pytest.mark.parametrize("data", [
-        {"loss": {"focal_gamma": "2"}},
-        {"loss": {"dice_smooth": True}},
-        {"loss": {"ema_beta": "0.5"}},
-        {"loss": {"weights": [1.0, True, 1.0]}},
+        {"prompt": {"saliency_threshold": "0.05"}},
+        {"prompt": {"n_max": 1024.0}},
+        {"lora": {"num_layers": True}},
+        {"backbone": {"params_frozen": "91000000"}},
         {"dsga": {"k_max": 2.5}},
         {"dsga": {"k_max": True}},
         {"dsga": {"embed_dim": "768"}},
@@ -101,10 +121,11 @@ class TestConfig:
         assert cfg.backbone.embed_dim == (backbone_dim or 768)
 
     def test_ints_accepted_for_floats(self):
-        cfg = PipelineConfig.from_dict({"dsga": {"reduction_ratio": 1}, "loss": {"ema_beta": 0}})
+        cfg = PipelineConfig.from_dict(
+            {"dsga": {"reduction_ratio": 1}, "prompt": {"saliency_threshold": 0}}
+        )
         assert cfg.dsga.reduction_ratio == 1
-        assert cfg.loss_weights.ema_beta == 0.0
-        assert PipelineConfig.from_dict({"lora": {"alpha": None}}).lora.alpha == 8.0
+        assert cfg.prompt.saliency_threshold == 0
 
 
 class TestAudit:
@@ -128,6 +149,22 @@ class TestAudit:
 
 
 class TestGradcheckHarness:
+    def test_fd_errors_keeps_worst_per_name(self):
+        # value(name, t) = sum(t^2) for every name, so the exact gradient is 2t
+        errors = {}
+        point = {"b": np.array([1.0, -2.0]), "a": np.array(0.5)}
+
+        def value(_, t):
+            return float(np.sum(t * t))
+
+        exact = {name: 2.0 * theta for name, theta in point.items()}
+        off = {"b": exact["b"] + [0.0, 0.5], "a": exact["a"]}
+        pipeline._fd_errors(errors, point, off, value, 1e-5)
+        pipeline._fd_errors(errors, point, exact, value, 1e-5)
+        assert list(errors) == ["b", "a"]
+        assert errors["b"] == pytest.approx(0.5 / 4.0, rel=1e-6)  # |-3.5 - (-4)| / 4
+        assert errors["a"] < 1e-9
+
     def test_all_ops_pass(self):
         results = gradcheck_all(seed=0, instances=3)
         assert [r.op for r in results] == ["dsga_vjp", "lora_vjp", "loss_grads"]
@@ -353,6 +390,19 @@ class TestCli:
         kept = fileio.read_json(tmp_path / "kept.json")
         assert kept["count"] == 3
 
+    def test_dedup_cli_echoes_kept_entries(self, tmp_path, capsys):
+        # a higher-scored copy of blob 0, listed last, suppresses cand_0: the
+        # kept entries come back verbatim (extra keys too) in acceptance order
+        _, manifest, blobs = three_blob_fixture(tmp_path)
+        entries = fileio.read_json(manifest)["instances"]
+        fileio.write_mask_pgm(tmp_path / "copy_0.pgm", blobs[0])
+        entries.append({"mask": "copy_0.pgm", "score": 0.95, "variant": "copy"})
+        fileio.write_json(manifest, {"instances": entries})
+        capsys.readouterr()
+        assert main(["instances", "dedup", "--manifest", str(manifest)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"count": 3, "instances": [entries[3], entries[1], entries[2]]}
+
     def test_loss_eval_cli(self, tmp_path):
         gt = np.zeros((8, 8), bool)
         gt[2:6, 2:6] = True
@@ -390,6 +440,36 @@ class TestCli:
             expected = 0.5**k * lam0 + (1 - 0.5**k) * c
             assert np.allclose(row["lambda_raw"], expected, atol=1e-12)
             assert sum(row["lambda_normalized"]) == pytest.approx(3.0)
+
+    # (bad third line, words the message must contain): each exits 2 with one
+    # "i/o error" line naming the file and the line, not a traceback
+    MALFORMED_TRACE_LINES = {
+        "invalid_json": ('{"contributions": [1.0, 2.0,', ["invalid JSON"]),
+        "a_json_list": ("[1.0, 2.0, 3.0]", ["'contributions' list"]),
+        "contributions_an_int": ('{"contributions": 5}', ["'contributions' list"]),
+        "contributions_missing": ('{"weights": [1.0, 2.0, 3.0]}', ["'contributions' list"]),
+        "two_contributions": ('{"contributions": [1.0, 2.0]}', ["3-element"]),
+        "contribution_a_bool": ('{"contributions": [1.0, true, 3.0]}',
+                                ["contribution 1", "a number"]),
+        "contribution_a_string": ('{"contributions": [1.0, 2.0, "3"]}',
+                                  ["contribution 2", "a number"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACE_LINES))
+    def test_malformed_trace_line_exits_two(self, tmp_path, capsys, case):
+        bad_line, words = self.MALFORMED_TRACE_LINES[case]
+        good = json.dumps({"contributions": [1.0, 2.0, 3.0]})
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(f"{good}\n\n{bad_line}\n{good}\n")  # the blank line counts
+        capsys.readouterr()
+        out = tmp_path / "traj.jsonl"
+        assert main(["loss", "ema-sim", "--trace", str(trace), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
+        assert f"{trace}: line 3:" in captured.err
+        assert all(word in captured.err for word in words), captured.err
+        assert not out.exists()
 
     def test_metrics_saliency_cli(self, tmp_path):
         gt = np.zeros((8, 8), bool)
