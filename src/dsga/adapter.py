@@ -109,14 +109,14 @@ class DsgaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.embed_dim < 1:
+        if not self.embed_dim >= 1:
             raise ValueError(f"embed_dim must be positive, got {self.embed_dim}")
         if not 0.0 < self.reduction_ratio <= 1.0:
             raise ValueError(f"reduction_ratio must be in (0, 1], got {self.reduction_ratio}")
-        if self.k_max < 1:
+        if not self.k_max >= 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.decay_exponent <= 0:
-            raise ValueError(f"decay_exponent must be positive, got {self.decay_exponent}")
+        if not 0.0 < self.decay_exponent < math.inf:
+            raise ValueError(f"decay_exponent must be finite and > 0, got {self.decay_exponent}")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
         if self.mode not in ("train", "eval"):

@@ -32,7 +32,7 @@ from .losses import (
     ema_update,
 )
 from .metrics import DetectionSet, detection_report, evaluate_saliency
-from .numerics import NumericalError
+from .numerics import NumericalError, check_finite
 from .prompts import PromptConfig, dedup_instances, generate_prompts
 
 EXIT_OK = 0
@@ -73,7 +73,9 @@ def cmd_lora_apply(args) -> int:
     b = fileio.read_tns(args.b)
     x = fileio.read_tns(args.input)
     layer = LoraLayer(w0=w0, a=a, b=b, rank=args.rank, alpha=args.alpha)
-    fileio.write_tns(args.output, lora_apply(layer, x))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow exits 3 below
+        h = lora_apply(layer, x)
+    fileio.write_tns(args.output, check_finite(h, "lora output"))
     return EXIT_OK
 
 

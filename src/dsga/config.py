@@ -6,6 +6,7 @@ are the main reproducibility hazard this guards against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .adapter import DsgaConfig
@@ -74,15 +75,19 @@ class PipelineConfig:
 
 def _typed(name: str, value, default):
     """Return ``value`` if its JSON type matches the default's: an int (not a
-    bool) for an int, an int or float for a float, a string for a string.
-    Other defaults are checked by their dataclass."""
+    bool) for an int, a finite int or float for a float, a string for a
+    string, a list of strings (as a tuple) for a tuple. Other defaults are
+    checked by their dataclass."""
     if isinstance(default, int):
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an int"
     elif isinstance(default, float):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        kind = "a number"
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok, kind = number and math.isfinite(value), "finite" if number else "a number"
     elif isinstance(default, str):
         ok, kind = isinstance(value, str), "a string"
+    elif isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+        value, kind = tuple(value) if ok else value, "a list of strings"
     else:
         return value
     if not ok:
@@ -100,6 +105,4 @@ def _merge(section: str, data: dict, defaults):
         raise ValidationError(f"unknown keys in section {section!r}: {sorted(extra)}")
     for key, value in data.items():
         values[key] = _typed(f"{section}.{key}", value, values[key])
-    if isinstance(values.get("targets"), list):
-        values["targets"] = tuple(values["targets"])
     return type(defaults)(**values)

@@ -47,6 +47,8 @@ class LoraLayer:
             raise ValueError(f"B must be [{d}, {self.rank}], got {self.b.shape}")
         for name, arr in (("w0", self.w0), ("a", self.a), ("b", self.b)):
             check_finite(arr, name)
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
     @property
     def scaling(self) -> float:

@@ -51,12 +51,12 @@ class LossHyper:
     dice_smooth: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.focal_gamma < 0:
-            raise ValueError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
+        if not 0.0 <= self.focal_gamma < np.inf:
+            raise ValueError(f"focal_gamma must be finite and >= 0, got {self.focal_gamma}")
         if not 0.0 <= self.focal_alpha <= 1.0:
             raise ValueError(f"focal_alpha must be in [0, 1], got {self.focal_alpha}")
-        if self.dice_smooth <= 0:
-            raise ValueError(f"dice_smooth must be > 0, got {self.dice_smooth}")
+        if not 0.0 < self.dice_smooth < np.inf:
+            raise ValueError(f"dice_smooth must be finite and > 0, got {self.dice_smooth}")
 
 
 @dataclass
@@ -68,8 +68,8 @@ class LossWeights:
 
     def __post_init__(self) -> None:
         lams = (self.lam1, self.lam2, self.lam3)
-        if any(l < 0 for l in lams):
-            raise ValueError(f"loss weights must be non-negative, got {lams}")
+        if not all(0.0 <= l < np.inf for l in lams):
+            raise ValueError(f"loss weights must be finite and non-negative, got {lams}")
         if not any(l > 0 for l in lams):
             raise ValueError("at least one loss weight must be positive")
         if not 0.0 <= self.ema_beta < 1.0:

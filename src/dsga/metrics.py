@@ -2,10 +2,11 @@
 structure measure, enhanced-alignment measure, MAE, threshold sweeps, and
 AP at the 0.5-IoU operating point with greedy matching.
 
-Structure/enhanced-alignment internals follow their standard reference
-algorithms (object/region decomposition with a centroid quadrant split and
-per-region SSIM; mean-centered alignment maps with the degenerate
-all-foreground / all-background shortcuts). The enhanced-alignment score is
+S comes from per-cell moments: the centroid split gives four quadrants, each
+cut into a foreground and a background cell whose count, mean and centred M2
+come from masked sums. Merging cells by the pairwise update of Chan, Golub &
+LeVeque (1983) gives the object term and each quadrant's SSIM. E maps are
+mean-centred, with the all-foreground / all-background shortcuts, and
 averaged over W*H pixels so a perfect prediction scores exactly 1.
 
 P, R, F and E are functions of the confusion counts: one kernel maps counts
@@ -41,6 +42,7 @@ __all__ = [
 
 _EPS = np.spacing(1.0)
 NUM_THRESHOLDS = 256
+_NO_CELL = (0, 0.0, 0.0)  # (count, mean, centred M2) of an empty cell
 
 
 def _as_saliency(sal) -> np.ndarray:
@@ -136,83 +138,91 @@ def e_measure(binarized, gt) -> float:
     return _checked_scores(binarized, gt, "binarized")[3]
 
 
-def _object_score(values: np.ndarray) -> float:
-    x = float(values.mean())
-    sigma = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    return 2.0 * x / (x * x + 1.0 + sigma + _EPS)
+def _merge(a, b):
+    """The (count, mean, M2) of two disjoint cells' union (pairwise update)."""
+    (na, xa, ma), (nb, xb, mb) = a, b
+    if na == 0 or nb == 0:
+        return b if na == 0 else a
+    n, d = na + nb, xb - xa
+    return n, xa + d * nb / n, ma + mb + d * d * na * nb / n
 
 
-def _region_ssim(pred_q: np.ndarray, gt_q: np.ndarray) -> float:
-    n = pred_q.size
-    if n == 0:
-        return 0.0  # empty quadrant carries zero weight anyway
-    x = float(pred_q.mean())
-    y = float(gt_q.mean())
-    div = n - 1 + _EPS
-    sigma_x = float(np.sum((pred_q - x) ** 2)) / div
-    sigma_y = float(np.sum((gt_q - y) ** 2)) / div
-    sigma_xy = float(np.sum((pred_q - x) * (gt_q - y))) / div
-    num = 4.0 * x * y * sigma_xy
-    den = (x * x + y * y) * (sigma_x + sigma_y)
+def _cells(sal_q: np.ndarray, gt_q: np.ndarray):
+    """(count, mean, centred M2) of a non-empty quadrant's foreground and
+    background values: masked sums over one contiguous copy, centred in place."""
+    n, n_f = gt_q.size, int(np.count_nonzero(gt_q))
+    if n_f in (0, n):
+        # a pure quadrant scores 1 or 0 by whether sigma_x == 0, which on a
+        # constant map turns on the mean's rounding: take it as the loop form does
+        c = np.subtract(sal_q, x := float(sal_q.mean()))
+        pure = (n, x, float(np.square(c, out=c).sum()))
+        return (pure, _NO_CELL) if n_f else (_NO_CELL, pure)
+    c, bg = np.array(sal_q), ~gt_q
+    x_f, x_b = float(c.sum(where=gt_q)) / n_f, float(c.sum(where=bg)) / (n - n_f)
+    np.subtract(c, x_f, out=c, where=gt_q)
+    np.subtract(c, x_b, out=c, where=bg)
+    np.square(c, out=c)
+    return (n_f, x_f, float(c.sum(where=gt_q))), (n - n_f, x_b, float(c.sum(where=bg)))
+
+
+def _region_score(fg, bg) -> float:
+    """A quadrant's SSIM against its GT from its two cells. The GT's centred
+    sums, n_f n_b / n (variance) and n_f n_b (x_f - x_b) / n (covariance),
+    come from counts and cell means, so both are exactly 0 in a pure quadrant."""
+    (n_f, x_f, _), (n_b, x_b, _) = fg, bg
+    n, x, m2 = _merge(fg, bg)
+    div, y = n - 1 + _EPS, n_f / n
+    num = 4.0 * x * y * (n_f * n_b * (x_f - x_b) / n / div)
+    den = (x * x + y * y) * (m2 / div + n_f * n_b / n / div)
     if num != 0.0:
         return num / (den + _EPS)
     return 1.0 if den == 0.0 else 0.0
 
 
-def _centroid(gt: np.ndarray) -> tuple[int, int]:
-    """Rounded (row, column) mean of a non-empty mask's foreground pixels.
+def _quadrants(gt: np.ndarray, n_fg: int):
+    """(row slice, column slice) of the quadrants split at the rounded, 1-based
+    centroid of a mask's ``n_fg`` > 0 foreground pixels. Its numerators are
+    exact integer sums, so it equals the rounded mean of ``np.argwhere(gt)``
+    (``round`` breaks .5 ties to even as ``ndarray.round`` does)."""
+    (h, w), u8 = gt.shape, gt.view(np.uint8)  # a row's count fits int32
+    py = round(int(np.arange(h) @ np.add.reduce(u8, axis=1, dtype=np.int32)) / n_fg) + 1
+    px = round(int(np.arange(w) @ np.add.reduce(u8, axis=0, dtype=np.int32)) / n_fg) + 1
+    return [(sy, sx) for sy in (slice(0, py), slice(py, h)) for sx in (slice(0, px), slice(px, w))]
 
-    Both numerators and the denominator are exact integer sums, so the
-    quotients equal the float mean of ``np.argwhere(gt)`` bit for bit, and
-    ``round`` breaks .5 ties to even as ``ndarray.round`` does.
-    """
-    rows, cols = np.count_nonzero(gt, axis=1), np.count_nonzero(gt, axis=0)
-    fg = int(rows.sum())
-    cy = int(np.arange(gt.shape[0]) @ rows) / fg
-    cx = int(np.arange(gt.shape[1]) @ cols) / fg
-    return round(cy), round(cx)
+
+def _s_measure(sal: np.ndarray, gt: np.ndarray, alpha: float) -> float:
+    n_fg = int(np.count_nonzero(gt))
+    if n_fg in (0, gt.size):
+        return float(np.clip(sal.mean() if n_fg else 1.0 - sal.mean(), 0.0, 1.0))
+    fg, bg, s_region = _NO_CELL, _NO_CELL, 0.0
+    for sy, sx in _quadrants(gt, n_fg):
+        gt_q = gt[sy, sx]
+        if gt_q.size:  # an empty quadrant has zero weight
+            f, b = _cells(sal[sy, sx], gt_q)
+            fg, bg = _merge(fg, f), _merge(bg, b)
+            s_region += gt_q.size / gt.size * _region_score(f, b)
+
+    # object component: foreground p and background 1 - p (same M2, mean 1 - x)
+    def object_score(n, x, m2):
+        return 2.0 * x / (x * x + 1.0 + (np.sqrt(m2 / (n - 1)) if n > 1 else 0.0) + _EPS)
+
+    y = n_fg / gt.size
+    s_object = y * object_score(*fg) + (1.0 - y) * object_score(bg[0], 1.0 - bg[1], bg[2])
+    return float(np.clip(alpha * s_object + (1.0 - alpha) * s_region, 0.0, 1.0))
 
 
 def s_measure(sal, gt, alpha: float = 0.5) -> float:
     """Structure measure alpha * S_object + (1 - alpha) * S_region, clamped
     to [0, 1]; empty/full ground truth degenerates to 1 - mean / mean."""
-    sal, gt = _checked_pair(sal, gt)
-    y = float(gt.mean())
-    if y == 0.0:
-        return float(np.clip(1.0 - sal.mean(), 0.0, 1.0))
-    if y == 1.0:
-        return float(np.clip(sal.mean(), 0.0, 1.0))
-
-    # object component: foreground/background mean-dissimilarity, weighted by
-    # the foreground ratio
-    o_fg = _object_score(sal[gt])
-    o_bg = _object_score(1.0 - sal[~gt])
-    s_object = y * o_fg + (1.0 - y) * o_bg
-
-    # region component: quadrant split at the (1-based) ground-truth centroid
-    h, w = gt.shape
-    cy, cx = _centroid(gt)
-    px, py = cx + 1, cy + 1
-    area = h * w
-    quads = [
-        (slice(0, py), slice(0, px), px * py / area),
-        (slice(0, py), slice(px, w), py * (w - px) / area),
-        (slice(py, h), slice(0, px), (h - py) * px / area),
-        (slice(py, h), slice(px, w), 0.0),  # weight filled below
-    ]
-    w4 = 1.0 - sum(q[2] for q in quads[:3])
-    quads[3] = (quads[3][0], quads[3][1], w4)
-    s_region = sum(
-        wt * _region_ssim(sal[sy, sx], gt[sy, sx].astype(np.float64))
-        for sy, sx, wt in quads
-    )
-
-    return float(np.clip(alpha * s_object + (1.0 - alpha) * s_region, 0.0, 1.0))
+    return _s_measure(*_checked_pair(sal, gt), alpha)
 
 
 def mae(sal, gt) -> float:
     """Mean absolute difference between the map and the binary ground truth."""
-    sal, gt = _checked_pair(sal, gt)
+    return _mae(*_checked_pair(sal, gt))
+
+
+def _mae(sal: np.ndarray, gt: np.ndarray) -> float:
     # one float64 temporary: the bool GT is cast inside the subtraction
     diff = np.subtract(sal, gt)
     return float(np.abs(diff, out=diff).mean())
@@ -247,7 +257,10 @@ def _counts_above(hist: np.ndarray) -> np.ndarray:
 def threshold_sweep(sal, gt, beta_sq: float = 0.3) -> np.ndarray:
     """Binarize at t = i/255 for i in 0..255 (strict >) and report
     (precision, recall, F, E) per threshold as a [256, 4] array."""
-    sal, gt = _checked_pair(sal, gt)
+    return _sweep(*_checked_pair(sal, gt), beta_sq)
+
+
+def _sweep(sal: np.ndarray, gt: np.ndarray, beta_sq: float) -> np.ndarray:
     # one histogram of the levels keyed by GT value: row 0 background, row 1
     # foreground
     key = _levels(sal)
@@ -293,18 +306,18 @@ class MetricReport:
 def evaluate_saliency(sal, gt, alpha: float = 0.5, beta_sq: float = 0.3) -> MetricReport:
     """Full per-image report: S, mean/max/adaptive F and E, MAE, and the
     256-point threshold curve."""
-    sal, gt = _checked_pair(sal, gt)
-    curve = threshold_sweep(sal, gt, beta_sq)
-    _, _, f_adp, e_adp = _binary_scores(sal > adaptive_threshold(sal), gt, beta_sq)
+    sal, gt = _checked_pair(sal, gt)  # the one validation: the kernels below take it as read
+    curve = _sweep(sal, gt, beta_sq)
+    _, _, f_adp, e_adp = _binary_scores(sal > min(2.0 * float(sal.mean()), 1.0), gt, beta_sq)
     return MetricReport(
-        s_measure=s_measure(sal, gt, alpha),
+        s_measure=_s_measure(sal, gt, alpha),
         f_mean=float(curve[:, 2].mean()),
         f_max=float(curve[:, 2].max()),
         f_adaptive=f_adp,
         e_mean=float(curve[:, 3].mean()),
         e_max=float(curve[:, 3].max()),
         e_adaptive=e_adp,
-        mae=mae(sal, gt),
+        mae=_mae(sal, gt),
         threshold_curve=curve,
     )
 

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dsga import metrics as metrics_module
 from dsga.metrics import (
     DetectionSet,
-    _centroid,
     _count_scores,
     _greedy_match,
+    _quadrants,
     adaptive_threshold,
     ap50,
     detection_report,
@@ -694,6 +695,18 @@ def argwhere_centroid(gt):
     return int(cy), int(cx)
 
 
+def split_centroid(gt):
+    """The 0-based centroid that the S-measure splits at, read off the ends
+    of its first quadrant; the quadrants must tile the map."""
+    quads = _quadrants(gt, int(np.count_nonzero(gt)))
+    tiles = np.zeros(gt.shape, int)
+    for sy, sx in quads:
+        tiles[sy, sx] += 1
+    assert len(quads) == 4 and (tiles == 1).all()
+    rows, cols = quads[0]
+    return rows.stop - 1, cols.stop - 1
+
+
 class TestCentroidOracle:
     def test_matches_argwhere_mean(self):
         rng = np.random.default_rng(75)
@@ -701,16 +714,119 @@ class TestCentroidOracle:
             h, w = rng.integers(1, 40, 2)
             gt = rng.random((h, w)) < rng.random()
             gt[rng.integers(h), rng.integers(w)] = True
-            assert _centroid(gt) == argwhere_centroid(gt)
+            assert split_centroid(gt) == argwhere_centroid(gt)
 
     def test_half_way_ties_round_to_even(self):
         # means 0.5, 1.5, 2.5 and 3.5 along both axes
         for lo in range(4):
             gt = np.zeros((6, 6), bool)
             gt[lo : lo + 2, lo : lo + 2] = True
-            assert _centroid(gt) == argwhere_centroid(gt) == (lo + lo % 2, lo + lo % 2)
+            assert split_centroid(gt) == argwhere_centroid(gt) == (lo + lo % 2, lo + lo % 2)
 
     def test_large_mask(self):
         rng = np.random.default_rng(76)
         gt = rng.random((512, 512)) < 0.3
-        assert _centroid(gt) == argwhere_centroid(gt)
+        assert split_centroid(gt) == argwhere_centroid(gt)
+
+
+# S-measure hazards for the per-cell moments: values whose raw second moment
+# cancels (constant non-dyadic and near-constant regions), quadrants that
+# hold one class only, a single foreground pixel, and edge centroids that
+# leave a quadrant empty
+
+
+def smooth_field(rng, h, w):
+    """A smooth random field: a few low-frequency sinusoids."""
+    yy, xx = np.mgrid[0:h, 0:w] / max(h, w)
+    field = np.zeros((h, w))
+    for _ in range(4):
+        fy, fx, phase = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), rng.uniform(0, 2 * np.pi)
+        field += np.sin(2 * np.pi * (fy * yy + fx * xx) + phase)
+    return field
+
+
+def smooth_pair(rng, h, w, fg_frac):
+    """A blob GT with the given foreground fraction and a correlated map."""
+    field = smooth_field(rng, h, w)
+    gt = field > np.quantile(field, 1.0 - fg_frac)
+    logits = 3.0 * (gt - 0.5) + 0.8 * rng.standard_normal((h, w)) + field
+    return 1.0 / (1.0 + np.exp(-logits)), gt
+
+
+def s_hazard_maps():
+    rng = np.random.default_rng(80)
+    for h, w in ((64, 64), (97, 41), (257, 300)):
+        block = np.zeros((h, w), bool)
+        block[h // 4 : 3 * h // 4, w // 5 : 3 * w // 5] = True
+        line = np.zeros((h, w), bool)
+        line[3, : w - 2] = True  # the two lower quadrants are pure background
+        ell = np.ones((h, w), bool)
+        ell[h // 2 :, w // 2 :] = False  # three quadrants are pure foreground
+        for fg, bg in ((200 / 255, 3 / 255), (1 / 3, 1 / 3), (1 / 3, 2 / 3), (0.7, 0.1)):
+            for gt in (block, line, ell):
+                yield f"constant {fg:.4f}/{bg:.4f}", np.where(gt, fg, bg), gt
+        noise = 1e-9 * rng.random((h, w))
+        for gt in (block, line, ell):
+            yield "near-constant foreground", np.where(gt, 0.7 + noise, rng.random((h, w))), gt
+            yield "near-constant cells", np.where(gt, 0.7, 0.2) + noise, gt
+            yield "constant map", np.full((h, w), 0.3), gt
+            yield "random map", rng.random((h, w)), gt
+        for y, x in ((h // 3, w // 3), (0, 0), (h - 1, w - 1), (h - 1, 0)):
+            single = np.zeros((h, w), bool)
+            single[y, x] = True
+            yield "single foreground pixel", rng.random((h, w)), single
+        for edge in (np.s_[:, -1], np.s_[-1, :], np.s_[-2:, -2:], np.s_[:, 0]):
+            gt = np.zeros((h, w), bool)
+            gt[edge] = True
+            yield "edge centroid", rng.random((h, w)), gt
+    for frac in (0.02, 0.1, 0.25, 0.6):
+        for h, w in ((256, 256), (384, 512), (512, 448)):
+            sal, gt = smooth_pair(rng, h, w, frac)
+            yield "smooth", sal, gt
+            yield "smooth 8-bit", np.rint(sal * 255.0) / 255.0, gt
+            yield "smooth float32", sal.astype(np.float32).astype(np.float64), gt
+
+
+class TestSMeasureCells:
+    def test_hazard_set_matches_the_loop_form(self):
+        for name, sal, gt in s_hazard_maps():
+            assert abs(s_measure(sal, gt) - reference_s_measure(sal, gt)) <= 1e-12, name
+
+    def test_saliency_fixtures_match_the_loop_form(self):
+        rng = np.random.default_rng(81)
+        for sal, gt in oracle_maps(rng, trials=96):
+            assert abs(s_measure(sal, gt) - reference_s_measure(sal, gt)) <= 1e-12
+
+    def test_pure_quadrants_of_a_dyadic_constant_score_one(self):
+        # sigma_x is exactly 0 and so are sigma_y and sigma_xy: num = den = 0
+        line = np.zeros((40, 40), bool)
+        line[3, :30] = True
+        sal = np.where(line, 0.75, 0.25)
+        assert s_measure(sal, line) == reference_s_measure(sal, line)
+        (rows, _), *_ = _quadrants(line, 30)
+        assert rows.stop == 4  # so the pure lower quadrants carry the score
+        assert s_measure(sal, line) > 0.5 * 0.8
+
+
+class TestSingleValidation:
+    def test_report_validates_each_map_once(self, monkeypatch):
+        calls = []
+        checked = metrics_module._as_saliency
+
+        def counting(sal):
+            calls.append(1)
+            return checked(sal)
+
+        monkeypatch.setattr(metrics_module, "_as_saliency", counting)
+        rng = np.random.default_rng(82)
+        for sal, gt in oracle_maps(rng, trials=12):
+            calls.clear()
+            evaluate_saliency(sal, gt)
+            assert len(calls) == 1
+        # the public entry points keep their own validation
+        sal, gt = np.full((4, 5), 0.25), np.eye(4, 5, dtype=bool)
+        for fn, args in ((threshold_sweep, (sal, gt)), (s_measure, (sal, gt)),
+                         (mae, (sal, gt)), (adaptive_threshold, (sal,))):
+            calls.clear()
+            fn(*args)
+            assert len(calls) == 1

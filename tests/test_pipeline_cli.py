@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -10,6 +11,8 @@ from dsga import fileio, pipeline
 from dsga.adapter import DsgaConfig, dsga_forward, init_dsga_params
 from dsga.cli import main
 from dsga.config import PipelineConfig, ValidationError
+from dsga.lora import LoraLayer
+from dsga.losses import LossHyper, LossWeights
 from dsga.pipeline import (
     audit_params,
     demo_synthetic,
@@ -126,6 +129,122 @@ class TestConfig:
         )
         assert cfg.dsga.reduction_ratio == 1
         assert cfg.prompt.saliency_threshold == 0
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def config_field_cases():
+    """Every field of every config section, each with a non-finite number, a
+    bool and a string."""
+    for section in dataclasses.fields(PipelineConfig):
+        for fld in dataclasses.fields(section.default_factory()):
+            for value in NON_FINITE + [True, "bogus"]:
+                yield pytest.param(section.name, fld.name, value, id=f"{section.name}.{fld.name}={value}")
+
+
+def loss_field_cases():
+    for cls in (LossHyper, LossWeights):
+        for fld in dataclasses.fields(cls):
+            for value in NON_FINITE:
+                yield pytest.param(cls, fld.name, value, id=f"{cls.__name__}.{fld.name}={value}")
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("section, key, value", config_field_cases())
+    def test_config_field_rejected(self, tmp_path, capsys, section, key, value):
+        data = {section: {key: value}}
+        with pytest.raises(ValidationError):
+            PipelineConfig.from_dict(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))  # NaN and Infinity, as Python's json reads them
+        capsys.readouterr()
+        assert main(["audit", "params", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cls, key, value", loss_field_cases())
+    def test_loss_field_rejected(self, cls, key, value):
+        with pytest.raises(ValueError):
+            cls(**{key: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE + ["true"])
+    @pytest.mark.parametrize("flag", [
+        "--focal-gamma", "--focal-alpha", "--dice-smooth", "--beta", "--alpha",
+        "--threshold", "--iou-threshold",
+    ])
+    def test_float_flag_exits_one(self, tmp_path, capsys, flag, value):
+        # every type=float flag of the CLI, each given a non-finite value or a bool
+        assert main(float_flag_command(tmp_path, flag) + [f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("validation error: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("weights", ["nan,1,1", "1,inf,1", "1,1,-inf"])
+    def test_non_finite_loss_weights_exit_one(self, tmp_path, capsys, weights):
+        assert main(float_flag_command(tmp_path, "--focal-gamma") + ["--weights", weights]) == 1
+        assert capsys.readouterr().err.startswith("validation error: loss weights must be finite")
+
+
+def float_flag_command(tmp_path, flag):
+    """A valid command line, without ``flag``, for the subcommand that takes it."""
+    if flag in ("--threshold", "--iou-threshold"):
+        mask_path, manifest, _ = three_blob_fixture(tmp_path)
+        if flag == "--threshold":
+            return ["prompts", "generate", "--mask", str(mask_path), "--out", str(tmp_path / "p.jsonl")]
+        return ["instances", "dedup", "--manifest", str(manifest)]
+    if flag == "--beta":
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps({"contributions": [1.0, 2.0, 3.0]}) + "\n")
+        return ["loss", "ema-sim", "--trace", str(trace)]
+    if flag == "--alpha":
+        TestLoraApplyFinite.write_inputs(tmp_path)
+        return ["lora", "apply", "--base", str(tmp_path / "w0.tns"), "--a", str(tmp_path / "a.tns"),
+                "--b", str(tmp_path / "b.tns"), "--rank", "2", "--input", str(tmp_path / "x.tns"),
+                "--output", str(tmp_path / "h.tns")]
+    gt = np.zeros((8, 8), bool)
+    gt[2:6, 2:6] = True
+    fileio.write_mask_pgm(tmp_path / "gt.pgm", gt)
+    fileio.write_tns(tmp_path / "pred.tns", np.full((8, 8), 0.5))
+    return ["loss", "eval", "--pred", str(tmp_path / "pred.tns"), "--gt", str(tmp_path / "gt.pgm")]
+
+
+class TestLoraApplyFinite:
+    @staticmethod
+    def write_inputs(tmp_path, scale=1.0):
+        rng = np.random.default_rng(12)
+        arrays = {"w0": rng.standard_normal((4, 6)) * scale, "a": rng.standard_normal((2, 6)),
+                  "b": rng.standard_normal((4, 2)), "x": rng.standard_normal((5, 6)) * scale}
+        for name, arr in arrays.items():
+            fileio.write_tns(tmp_path / f"{name}.tns", arr)
+        return arrays
+
+    def run(self, tmp_path, alpha):
+        return main([
+            "lora", "apply", "--base", str(tmp_path / "w0.tns"),
+            "--a", str(tmp_path / "a.tns"), "--b", str(tmp_path / "b.tns"),
+            "--rank", "2", f"--alpha={alpha}", "--input", str(tmp_path / "x.tns"),
+            "--output", str(tmp_path / "h.tns"),
+        ])
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_exits_one(self, tmp_path, capsys, alpha):
+        arrays = self.write_inputs(tmp_path)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            LoraLayer(w0=arrays["w0"], a=arrays["a"], b=arrays["b"], rank=2, alpha=float(alpha))
+        capsys.readouterr()
+        assert self.run(tmp_path, alpha) == 1
+        assert capsys.readouterr().err.startswith("validation error: alpha must be finite")
+        assert not (tmp_path / "h.tns").exists()
+
+    def test_overflowing_output_exits_three(self, tmp_path, capsys):
+        self.write_inputs(tmp_path, scale=1e200)
+        capsys.readouterr()
+        assert self.run(tmp_path, "2") == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: lora output contains non-finite values\n"
+        assert not (tmp_path / "h.tns").exists()
 
 
 class TestAudit:
