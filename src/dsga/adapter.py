@@ -49,6 +49,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .numerics import (
+    as_cotangent,
     check_finite,
     gelu,
     gelu_grad,
@@ -121,6 +122,8 @@ class DsgaConfig:
             raise ValueError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
         if self.mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {self.mode!r}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.d_hidden < 1:
             raise ValueError(
                 f"floor(reduction_ratio * embed_dim) = {self.d_hidden} must be >= 1"
@@ -612,20 +615,14 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     raises NumericalError. The rank-weight softmax VJP runs in float64 and
     its cotangent is cast at the end.
 
-    Requires eval mode or dropout_prob = 0. theta_k sits behind the floor in
-    adaptive_k and therefore gets zero gradient; graph structure is held
-    fixed (top-k membership does not differentiate).
+    In train mode the recomputed trace draws the forward's dropout mask (a
+    pure function of size, probability and seed). theta_k sits behind the
+    floor in adaptive_k and therefore gets zero gradient; graph structure is
+    held fixed (top-k membership does not differentiate).
     """
-    if cfg.mode == "train" and cfg.dropout_prob > 0.0:
-        raise ValueError("dsga_vjp requires eval mode or dropout_prob = 0")
     x = np.asarray(x)
-    upstream = np.asarray(upstream)
-    if upstream.shape != x.shape:
-        raise ValueError(f"upstream shape {upstream.shape} != output shape {x.shape}")
     dt = np.result_type(x, params.down_w, params.down_b)
-    # a copy in the working dtype; it becomes dx (the residual term) at the end
-    with np.errstate(over="ignore"):  # an overflowing cast is reported below
-        upstream = check_finite(np.array(upstream, dtype=dt), "upstream")
+    upstream = as_cotangent(upstream, x.shape, dt)
     t = _forward_trace(x, params, cfg)
     b, h, w, d = t["shape"]
     n = t["n"]
@@ -637,7 +634,9 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     # up-projection; weight gradients are GEMMs over the flattened [B*N, .] rows
     d_up_w = t["dropped"].reshape(b * n, dh).T @ uf
     d_up_b = uf.sum(axis=0)
-    d_zp = matmul(uf, params.up_w.T).reshape(b, h, w, dh)  # no dropout by precondition
+    d_zp = matmul(uf, params.up_w.T).reshape(b, h, w, dh)
+    if t["drop_scale"] is not None:
+        d_zp *= t["drop_scale"].reshape(d_zp.shape).astype(dt, copy=False)
 
     # gated residual
     g = 0.5 * sigmoid(params.w_n_raw)
@@ -691,8 +690,8 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     xf = t["x"].reshape(b * n, d).astype(d_pre.dtype, copy=False)
     d_down_w = xf.T @ d_pre
     d_down_b = d_pre.sum(axis=0)
-    dx = upstream
-    dx += matmul(d_pre, params.down_w.T).reshape(b, h, w, d)
+    dx = matmul(d_pre, params.down_w.T).reshape(b, h, w, d)
+    dx += upstream  # the residual; the caller's upstream is never written
 
     grads = DsgaParams(
         down_w=d_down_w,

@@ -224,9 +224,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    summary = pipeline.demo_synthetic(seed=args.seed, out_dir=args.out)
-    json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _emit(pipeline.demo_synthetic(seed=args.seed, out_dir=args.out), None)
     return EXIT_OK
 
 
@@ -360,10 +358,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (fileio.FileFormatError, FileNotFoundError, IsADirectoryError, OSError) as exc:
+    except (fileio.FileFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValidationError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

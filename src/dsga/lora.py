@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import check_finite
+from .numerics import as_cotangent, check_finite
 
 __all__ = [
     "LoraLayer",
@@ -110,15 +110,9 @@ def lora_vjp(layer: LoraLayer, x: np.ndarray, upstream: np.ndarray):
     that overflows in the cast, raises NumericalError.
     """
     x = np.asarray(x)
-    upstream = np.asarray(upstream)
     d, k_dim = layer.w0.shape
-    if upstream.shape != x.shape[:-1] + (d,):
-        raise ValueError(
-            f"upstream shape {upstream.shape} incompatible with output [..., {d}]"
-        )
     dt = np.result_type(x, layer.w0, layer.a, layer.b)
-    with np.errstate(over="ignore"):  # an overflowing cast is reported below
-        um = check_finite(upstream.astype(dt, copy=False), "upstream").reshape(-1, d)
+    um = as_cotangent(upstream, x.shape[:-1] + (d,), dt).reshape(-1, d)
     xm = x.reshape(-1, k_dim).astype(dt, copy=False)
     s = layer.scaling
     dx = um @ layer.w0

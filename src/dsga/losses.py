@@ -18,12 +18,13 @@ available behind ``mode="raw"``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .numerics import NumericalError
+from .numerics import NumericalError, as_mask, as_unit_map, checked_pair
 
 __all__ = [
     "LossHyper",
@@ -44,6 +45,14 @@ __all__ = [
 CLIP_EPS = 1e-7
 
 
+def _check_numbers(obj) -> None:
+    """Reject a bool or a non-number in any field of a loss dataclass before
+    its range checks compare the values."""
+    for name, value in vars(obj).items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass
 class LossHyper:
     focal_gamma: float = 2.0
@@ -51,6 +60,7 @@ class LossHyper:
     dice_smooth: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         if not 0.0 <= self.focal_gamma < np.inf:
             raise ValueError(f"focal_gamma must be finite and >= 0, got {self.focal_gamma}")
         if not 0.0 <= self.focal_alpha <= 1.0:
@@ -67,6 +77,7 @@ class LossWeights:
     ema_beta: float = 0.9
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         lams = (self.lam1, self.lam2, self.lam3)
         if not all(0.0 <= l < np.inf for l in lams):
             raise ValueError(f"loss weights must be finite and non-negative, got {lams}")
@@ -90,27 +101,10 @@ class DistanceMap:
     degenerate: bool = False
 
 
-def _as_probs(pred: np.ndarray) -> np.ndarray:
-    pred = np.asarray(pred, dtype=np.float64)
-    if pred.ndim != 2:
-        raise ValueError(f"prediction must be 2-D, got shape {pred.shape}")
-    if not (pred.min() >= 0.0 and pred.max() <= 1.0):  # NaN fails too
-        raise ValueError("prediction probabilities must lie in [0, 1]")
-    return pred
-
-
-def _check_pair(pred: np.ndarray, gt: np.ndarray):
-    pred = _as_probs(pred)
-    gt = np.asarray(gt).astype(bool)
-    if gt.shape != pred.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
-    return pred, gt
-
-
 def focal_loss(pred, gt, gamma: float = 2.0, alpha_bal: float = 0.25) -> float:
     """Mean of -alpha_t (1 - p_t)^gamma log(p_t); probabilities are clamped
     to [1e-7, 1 - 1e-7] before the log."""
-    pred, gt = _check_pair(pred, gt)
+    pred, gt = checked_pair(pred, gt, "prediction")
     p = np.clip(pred, CLIP_EPS, 1.0 - CLIP_EPS)
     p_t = np.where(gt, p, 1.0 - p)
     a_t = np.where(gt, alpha_bal, 1.0 - alpha_bal)
@@ -121,7 +115,7 @@ def dice_loss(pred, gt, smooth: float = 1.0) -> float:
     """1 - (2 sum(p*g) + smooth) / (sum(p) + sum(g) + smooth)."""
     if smooth <= 0:
         raise ValueError(f"smooth must be > 0, got {smooth}")
-    pred, gt = _check_pair(pred, gt)
+    pred, gt = checked_pair(pred, gt, "prediction")
     g = gt.astype(np.float64)
     num = 2.0 * float(np.sum(pred * g)) + smooth
     den = float(np.sum(pred)) + float(np.sum(g)) + smooth
@@ -132,9 +126,7 @@ def signed_distance(gt: np.ndarray) -> DistanceMap:
     """Exact signed Euclidean distance transform of a binary mask:
     +distance-to-foreground on background pixels, -distance-to-background on
     foreground pixels."""
-    gt = np.asarray(gt).astype(bool)
-    if gt.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {gt.shape}")
+    gt = as_mask(gt, "mask")
     if gt.all() or not gt.any():
         return DistanceMap(phi=np.zeros(gt.shape, dtype=np.float64), degenerate=True)
     phi = distance_transform_edt(~gt) - distance_transform_edt(gt)
@@ -143,7 +135,7 @@ def signed_distance(gt: np.ndarray) -> DistanceMap:
 
 def boundary_loss(pred, dist: DistanceMap) -> float:
     """Mean over pixels of phi * p; negative when mass sits inside the object."""
-    pred = _as_probs(pred)
+    pred = as_unit_map(pred, "prediction")
     if dist.phi.shape != pred.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs phi {dist.phi.shape}")
     return float(np.mean(dist.phi * pred))
@@ -156,7 +148,7 @@ def combined_loss(pred, gt, weights: LossWeights, hyper: LossHyper | None = None
     components = {
         "focal": focal_loss(pred, gt, hyper.focal_gamma, hyper.focal_alpha),
         "dice": dice_loss(pred, gt, hyper.dice_smooth),
-        "boundary": boundary_loss(pred, signed_distance(np.asarray(gt).astype(bool))),
+        "boundary": boundary_loss(pred, signed_distance(gt)),
     }
     total = (
         weights.lam1 * components["focal"]
@@ -228,7 +220,7 @@ def contributions_from_components(
 def loss_grads(pred, gt, weights: LossWeights, hyper: LossHyper | None = None):
     """Analytic d(total)/d(p) per pixel for the combined loss."""
     hyper = hyper or LossHyper()
-    pred, gtb = _check_pair(pred, gt)
+    pred, gtb = checked_pair(pred, gt, "prediction")
     h, w = pred.shape
     n = h * w
     gamma, alpha = hyper.focal_gamma, hyper.focal_alpha

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prompts import ScoredInstance, _as_mask, pairwise_iou
+from . import numerics
+from .prompts import ScoredInstance, pairwise_iou
 from .prompts import mask_iou  # noqa: F401  (wrapped by perfbench/tracer.py; unused here)
 
 __all__ = [
@@ -42,35 +43,15 @@ __all__ = [
 
 _EPS = np.spacing(1.0)
 NUM_THRESHOLDS = 256
+S_ALPHA = 0.5  # weight of the object term in S
+F_BETA_SQ = 0.3  # beta^2 of every F-measure in a saliency report
 _NO_CELL = (0, 0.0, 0.0)  # (count, mean, centred M2) of an empty cell
 
 
-def _as_saliency(sal) -> np.ndarray:
-    sal = np.asarray(sal, dtype=np.float64)
-    if sal.ndim != 2:
-        raise ValueError(f"saliency map must be 2-D, got shape {sal.shape}")
-    if not (sal.min() >= 0.0 and sal.max() <= 1.0):  # NaN fails too
-        raise ValueError("saliency values must lie in [0, 1]")
-    return sal
-
-
-def _check_dims(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def _checked_pair(sal, gt) -> tuple[np.ndarray, np.ndarray]:
-    """The validated float64 saliency map and boolean ground truth."""
-    sal = _as_saliency(sal)
-    gt = _as_mask(gt, "gt")
-    _check_dims(sal, gt)
-    return sal, gt
-
-
-def _count_scores(tp, pp, ng: int, n: int, beta_sq: float = 0.3):
-    """Precision, recall, F and E arrays from per-binarization counts: ``tp``
-    true positives and ``pp`` predicted positives (int arrays), against a
-    ground truth with ``ng`` foreground pixels out of ``n``.
+def _count_scores(tp, pp, ng: int, n: int):
+    """Precision, recall, F (at F_BETA_SQ) and E arrays from per-binarization
+    counts: ``tp`` true positives and ``pp`` predicted positives (int arrays),
+    against a ground truth with ``ng`` foreground pixels out of ``n``.
 
     Empty-P precision is 1 if G is also empty, else 0; empty-G recall is 1.
     Mean-centred, a binarization and the ground truth each take two values,
@@ -79,8 +60,8 @@ def _count_scores(tp, pp, ng: int, n: int, beta_sq: float = 0.3):
     with np.errstate(divide="ignore", invalid="ignore"):
         precision = np.where(pp == 0, 1.0 if ng == 0 else 0.0, tp / pp)
         recall = np.ones(tp.shape) if ng == 0 else tp / ng
-        den = beta_sq * precision + recall
-        f = np.where(den == 0.0, 0.0, (1.0 + beta_sq) * precision * recall / den)
+        den = F_BETA_SQ * precision + recall
+        f = np.where(den == 0.0, 0.0, (1.0 + F_BETA_SQ) * precision * recall / den)
     if ng == 0:
         enhanced_sum = n - pp
     elif ng == n:
@@ -96,28 +77,21 @@ def _count_scores(tp, pp, ng: int, n: int, beta_sq: float = 0.3):
     return precision, recall, f, enhanced_sum / n
 
 
-def _binary_scores(pred: np.ndarray, gt: np.ndarray, beta_sq: float = 0.3):
+def _binary_scores(pred: np.ndarray, gt: np.ndarray):
     """(P, R, F, E) of one binarization, through the sweep's kernel."""
     tp = np.array([np.count_nonzero(pred & gt)])
     pp = np.array([np.count_nonzero(pred)])
-    scores = _count_scores(tp, pp, int(np.count_nonzero(gt)), gt.size, beta_sq)
+    scores = _count_scores(tp, pp, int(np.count_nonzero(gt)), gt.size)
     return tuple(float(v[0]) for v in scores)
-
-
-def _checked_scores(pred, gt, name: str):
-    pred = _as_mask(pred, name)
-    gt = _as_mask(gt, "gt")
-    _check_dims(pred, gt)
-    return _binary_scores(pred, gt)
 
 
 def precision_recall(pred, gt) -> tuple[float, float]:
     """|P&G|/|P| and |P&G|/|G|. Empty-P precision is 1 if G is also empty,
     else 0; empty-G recall is 1 (nothing was there to find)."""
-    return _checked_scores(pred, gt, "pred")[:2]
+    return _binary_scores(*numerics.checked_pair(pred, gt, "pred", binary=True))[:2]
 
 
-def f_beta(precision: float, recall: float, beta_sq: float = 0.3) -> float:
+def f_beta(precision: float, recall: float, beta_sq: float = F_BETA_SQ) -> float:
     """(1 + b^2) P R / (b^2 P + R); 0 when the denominator vanishes."""
     den = beta_sq * precision + recall
     if den == 0.0:
@@ -127,7 +101,7 @@ def f_beta(precision: float, recall: float, beta_sq: float = 0.3) -> float:
 
 def adaptive_threshold(sal) -> float:
     """min(2 * mean, 1); binarization everywhere uses the strict sal > t rule."""
-    sal = _as_saliency(sal)
+    sal = numerics.as_unit_map(sal, "saliency")
     return min(2.0 * float(sal.mean()), 1.0)
 
 
@@ -135,7 +109,7 @@ def e_measure(binarized, gt) -> float:
     """Enhanced-alignment score: mean of ((2 a g / (a^2 + g^2)) + 1)^2 / 4 on
     mean-centered maps; all-foreground/all-background ground truth degenerates
     to the matching-pixel fraction."""
-    return _checked_scores(binarized, gt, "binarized")[3]
+    return _binary_scores(*numerics.checked_pair(binarized, gt, "binarized", binary=True))[3]
 
 
 def _merge(a, b):
@@ -190,7 +164,7 @@ def _quadrants(gt: np.ndarray, n_fg: int):
     return [(sy, sx) for sy in (slice(0, py), slice(py, h)) for sx in (slice(0, px), slice(px, w))]
 
 
-def _s_measure(sal: np.ndarray, gt: np.ndarray, alpha: float) -> float:
+def _s_measure(sal: np.ndarray, gt: np.ndarray) -> float:
     n_fg = int(np.count_nonzero(gt))
     if n_fg in (0, gt.size):
         return float(np.clip(sal.mean() if n_fg else 1.0 - sal.mean(), 0.0, 1.0))
@@ -208,18 +182,19 @@ def _s_measure(sal: np.ndarray, gt: np.ndarray, alpha: float) -> float:
 
     y = n_fg / gt.size
     s_object = y * object_score(*fg) + (1.0 - y) * object_score(bg[0], 1.0 - bg[1], bg[2])
-    return float(np.clip(alpha * s_object + (1.0 - alpha) * s_region, 0.0, 1.0))
+    return float(np.clip(S_ALPHA * s_object + (1.0 - S_ALPHA) * s_region, 0.0, 1.0))
 
 
-def s_measure(sal, gt, alpha: float = 0.5) -> float:
-    """Structure measure alpha * S_object + (1 - alpha) * S_region, clamped
-    to [0, 1]; empty/full ground truth degenerates to 1 - mean / mean."""
-    return _s_measure(*_checked_pair(sal, gt), alpha)
+def s_measure(sal, gt) -> float:
+    """Structure measure alpha * S_object + (1 - alpha) * S_region with
+    alpha = 0.5, clamped to [0, 1]; empty/full ground truth degenerates to
+    1 - mean / mean."""
+    return _s_measure(*numerics.checked_pair(sal, gt, "saliency"))
 
 
 def mae(sal, gt) -> float:
     """Mean absolute difference between the map and the binary ground truth."""
-    return _mae(*_checked_pair(sal, gt))
+    return _mae(*numerics.checked_pair(sal, gt, "saliency"))
 
 
 def _mae(sal: np.ndarray, gt: np.ndarray) -> float:
@@ -254,13 +229,14 @@ def _counts_above(hist: np.ndarray) -> np.ndarray:
     return np.cumsum(hist[..., ::-1], axis=-1)[..., ::-1][..., 1:]
 
 
-def threshold_sweep(sal, gt, beta_sq: float = 0.3) -> np.ndarray:
+def threshold_sweep(sal, gt) -> np.ndarray:
     """Binarize at t = i/255 for i in 0..255 (strict >) and report
-    (precision, recall, F, E) per threshold as a [256, 4] array."""
-    return _sweep(*_checked_pair(sal, gt), beta_sq)
+    (precision, recall, F at beta^2 = 0.3, E) per threshold as a [256, 4]
+    array."""
+    return _sweep(*numerics.checked_pair(sal, gt, "saliency"))
 
 
-def _sweep(sal: np.ndarray, gt: np.ndarray, beta_sq: float) -> np.ndarray:
+def _sweep(sal: np.ndarray, gt: np.ndarray) -> np.ndarray:
     # one histogram of the levels keyed by GT value: row 0 background, row 1
     # foreground
     key = _levels(sal)
@@ -268,7 +244,7 @@ def _sweep(sal: np.ndarray, gt: np.ndarray, beta_sq: float) -> np.ndarray:
     hist = np.bincount(key, minlength=2 * (NUM_THRESHOLDS + 1)).reshape(2, -1)
     above = _counts_above(hist)
     tp, pp = above[1], above[0] + above[1]
-    scores = _count_scores(tp, pp, int(hist[1].sum()), gt.size, beta_sq)
+    scores = _count_scores(tp, pp, int(hist[1].sum()), gt.size)
     return np.stack(scores, axis=1)
 
 
@@ -284,8 +260,8 @@ class MetricReport:
     mae: float
     threshold_curve: np.ndarray = field(repr=False)
 
-    def as_dict(self, with_curve: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "s_measure": self.s_measure,
             "f_mean": self.f_mean,
             "f_max": self.f_max,
@@ -295,22 +271,17 @@ class MetricReport:
             "e_adaptive": self.e_adaptive,
             "mae": self.mae,
         }
-        if with_curve:
-            out["threshold_curve"] = [
-                {"precision": p, "recall": r, "f": f, "e": e}
-                for p, r, f, e in self.threshold_curve.tolist()
-            ]
-        return out
 
 
-def evaluate_saliency(sal, gt, alpha: float = 0.5, beta_sq: float = 0.3) -> MetricReport:
+def evaluate_saliency(sal, gt) -> MetricReport:
     """Full per-image report: S, mean/max/adaptive F and E, MAE, and the
     256-point threshold curve."""
-    sal, gt = _checked_pair(sal, gt)  # the one validation: the kernels below take it as read
-    curve = _sweep(sal, gt, beta_sq)
-    _, _, f_adp, e_adp = _binary_scores(sal > min(2.0 * float(sal.mean()), 1.0), gt, beta_sq)
+    # the one validation: the kernels below take it as read
+    sal, gt = numerics.checked_pair(sal, gt, "saliency")
+    curve = _sweep(sal, gt)
+    _, _, f_adp, e_adp = _binary_scores(sal > min(2.0 * float(sal.mean()), 1.0), gt)
     return MetricReport(
-        s_measure=_s_measure(sal, gt, alpha),
+        s_measure=_s_measure(sal, gt),
         f_mean=float(curve[:, 2].mean()),
         f_max=float(curve[:, 2].max()),
         f_adaptive=f_adp,
@@ -328,7 +299,7 @@ class DetectionSet:
     ground_truths: list[np.ndarray]
 
     def __post_init__(self) -> None:
-        self.ground_truths = [_as_mask(g, "ground truth") for g in self.ground_truths]
+        self.ground_truths = [numerics.as_mask(g, "ground truth") for g in self.ground_truths]
         shapes = {g.shape for g in self.ground_truths}
         shapes |= {p.mask.shape for p in self.predictions}
         if len(shapes) > 1:

@@ -1,11 +1,12 @@
-"""Dense-tensor core: the finiteness check, elementwise nonlinearities, and
+"""Dense-tensor core: the input contracts, elementwise nonlinearities, and
 the central-difference gradient oracle that backstops every differentiable
 operation in this package.
 
 Tensors are plain numpy arrays in C (row-major) order, float32 ("single",
 the default working precision) or float64 ("double", mandatory inside
 gradient checks). Inputs go through :func:`check_finite` so the
-no-NaN/no-Inf invariant holds at the boundary.
+no-NaN/no-Inf invariant holds at the boundary. Probability maps, masks,
+the two as a scored pair, and VJP upstream cotangents each have one checker.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from scipy.special import erf
 __all__ = [
     "NumericalError",
     "check_finite",
+    "as_unit_map",
+    "as_mask",
+    "checked_pair",
+    "as_cotangent",
     "matmul",
     "gelu",
     "gelu_grad",
@@ -42,6 +47,47 @@ def check_finite(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"{name} contains non-finite values")
     return x
+
+
+def as_unit_map(values, name: str) -> np.ndarray:
+    """The float64 2-D map of an array-like whose values all lie in [0, 1]
+    (a probability or saliency map); NaN fails the range check."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {values.shape}")
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise ValueError(f"{name} values must lie in [0, 1]")
+    return values
+
+
+def as_mask(mask, name: str) -> np.ndarray:
+    """The 2-D boolean mask (nonzero = foreground) of an array-like; a bool
+    array comes back as is, not copied."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {mask.shape}")
+    return mask
+
+
+def checked_pair(values, gt, name: str, binary: bool = False):
+    """``values`` as a unit map (a mask if ``binary``) and the mask ``gt``,
+    checked to share their dimensions."""
+    values = as_mask(values, name) if binary else as_unit_map(values, name)
+    gt = as_mask(gt, "gt")
+    if values.shape != gt.shape:
+        raise ValueError(f"dimension mismatch: {values.shape} vs {gt.shape}")
+    return values, gt
+
+
+def as_cotangent(upstream, shape: tuple, dtype) -> np.ndarray:
+    """``upstream`` in the working ``dtype`` (uncopied if it is already in
+    it), checked to have the output's ``shape``; a non-finite upstream, or one
+    that overflows in the cast, raises NumericalError."""
+    upstream = np.asarray(upstream)
+    if upstream.shape != shape:
+        raise ValueError(f"upstream shape {upstream.shape} != output shape {shape}")
+    with np.errstate(over="ignore"):  # an overflowing cast is reported below
+        return check_finite(upstream.astype(dtype, copy=False), "upstream")
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

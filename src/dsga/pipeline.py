@@ -23,7 +23,7 @@ from .adapter import (
 )
 from .config import PipelineConfig, ValidationError, _typed
 from .lora import LoraLayer, init_lora_layer, lora_apply, lora_parameter_count, lora_vjp
-from .losses import LossHyper, LossWeights, combined_loss, loss_grads
+from .losses import LossWeights, combined_loss, loss_grads
 from .metrics import DetectionSet, detection_report, evaluate_saliency
 from .numerics import finite_diff_grad
 from .prompts import PromptConfig, ScoredInstance, dedup_instances, generate_prompts
@@ -137,24 +137,27 @@ class GradcheckResult:
         }
 
 
-def _gradcheck_result(op: str, errors: dict, instances: int) -> GradcheckResult:
-    return GradcheckResult(op, max(errors.values(), default=0.0), 1e-4, instances, errors)
-
-
 # the scalar parameters of DsgaParams
 _GATES = ("theta_k", "w_p_raw", "w_n_raw")
 
 
-def _fd_errors(errors: dict, point: dict, analytic: dict, value, h_step: float) -> None:
-    """Fold into ``errors`` the worst error of each analytic cotangent against
-    central differences of ``value(name, theta)``, the scalar objective with
-    input ``name`` set to ``theta``, taken around ``point[name]``."""
-    for name, theta in point.items():
-        fd = finite_diff_grad(lambda t: value(name, t), theta, h_step)
-        errors[name] = max(errors.get(name, 0.0), max_hybrid_error(analytic[name], fd))
+def _gradcheck(op: str, seed: int, instances: int, draw) -> GradcheckResult:
+    """Worst error per checked name over ``instances`` draws. Each
+    ``draw(rng)`` gives (point, analytic, value): the inputs and parameters
+    to check, their analytic cotangents, and ``value(name, theta)``, the
+    scalar objective with ``name`` set to ``theta``; central differences
+    are taken around ``point[name]``."""
+    rng = np.random.default_rng(seed)
+    errors: dict[str, float] = {}
+    for _ in range(instances):
+        point, analytic, value = draw(rng)
+        for name, theta in point.items():
+            fd = finite_diff_grad(lambda t: value(name, t), theta)
+            errors[name] = max(errors.get(name, 0.0), max_hybrid_error(analytic[name], fd))
+    return GradcheckResult(op, max(errors.values(), default=0.0), 1e-4, instances, errors)
 
 
-def _dsga_instance(rng: np.random.Generator):
+def _draw_dsga(rng: np.random.Generator):
     h = int(rng.integers(2, 4))
     w = int(rng.integers(2, 4))
     d = int(rng.integers(4, 9))
@@ -173,86 +176,65 @@ def _dsga_instance(rng: np.random.Generator):
     params = init_dsga_params(cfg, precision="double")
     x = rng.standard_normal((1, h, w, d))
     upstream = rng.standard_normal((1, h, w, d))
-    return cfg, params, x, upstream
+    dx, grads = dsga_vjp(x, params, cfg, upstream)
+
+    def value(name, theta):
+        if name == "x":
+            out, _ = dsga_forward(theta, params, cfg)
+        else:
+            if name in _GATES:
+                theta = float(theta.reshape(()))
+            out, _ = dsga_forward(x, replace(params, **{name: theta}), cfg)
+        return float(np.sum(upstream * out))
+
+    gates = {n: np.array(getattr(params, n)) for n in _GATES}
+    point = {"x": x, **params.named_arrays(), **gates}
+    analytic = {"x": dx, **grads.named_arrays(), **{n: getattr(grads, n) for n in _GATES}}
+    return point, analytic, value
 
 
-def gradcheck_dsga(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> GradcheckResult:
-    rng = np.random.default_rng(seed)
-    errors: dict[str, float] = {}
-    for _ in range(instances):
-        cfg, params, x, upstream = _dsga_instance(rng)
-        dx, grads = dsga_vjp(x, params, cfg, upstream)
+def _draw_lora(rng: np.random.Generator):
+    d = int(rng.integers(2, 9))
+    k_dim = int(rng.integers(2, 9))
+    r = int(rng.integers(1, min(d, k_dim) + 1))
+    layer = LoraLayer(
+        w0=rng.standard_normal((d, k_dim)),
+        a=0.1 * rng.standard_normal((r, k_dim)),
+        b=0.1 * rng.standard_normal((d, r)),
+        rank=r,
+        alpha=float(rng.uniform(0.5, 2.0) * r),
+    )
+    x = rng.standard_normal((3, k_dim))
+    upstream = rng.standard_normal((3, d))
+    dx, da, db = lora_vjp(layer, x, upstream)
 
-        def value(name, theta):
-            if name == "x":
-                out, _ = dsga_forward(theta, params, cfg)
-            else:
-                if name in _GATES:
-                    theta = float(theta.reshape(()))
-                out, _ = dsga_forward(x, replace(params, **{name: theta}), cfg)
-            return float(np.sum(upstream * out))
+    def value(name, theta):
+        if name == "x":
+            return float(np.sum(upstream * lora_apply(layer, theta)))
+        return float(np.sum(upstream * lora_apply(replace(layer, **{name: theta}), x)))
 
-        gates = {n: np.array(getattr(params, n)) for n in _GATES}
-        point = {"x": x, **params.named_arrays(), **gates}
-        analytic = {"x": dx, **grads.named_arrays(), **{n: getattr(grads, n) for n in _GATES}}
-        _fd_errors(errors, point, analytic, value, h_step)
-    return _gradcheck_result("dsga_vjp", errors, instances)
-
-
-def gradcheck_lora(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> GradcheckResult:
-    rng = np.random.default_rng(seed)
-    errors: dict[str, float] = {}
-    for _ in range(instances):
-        d = int(rng.integers(2, 9))
-        k_dim = int(rng.integers(2, 9))
-        r = int(rng.integers(1, min(d, k_dim) + 1))
-        w0 = rng.standard_normal((d, k_dim))
-        layer = LoraLayer(
-            w0=w0,
-            a=0.1 * rng.standard_normal((r, k_dim)),
-            b=0.1 * rng.standard_normal((d, r)),
-            rank=r,
-            alpha=float(rng.uniform(0.5, 2.0) * r),
-        )
-        x = rng.standard_normal((3, k_dim))
-        upstream = rng.standard_normal((3, d))
-        dx, da, db = lora_vjp(layer, x, upstream)
-
-        def value(name, theta):
-            if name == "x":
-                return float(np.sum(upstream * lora_apply(layer, theta)))
-            return float(np.sum(upstream * lora_apply(replace(layer, **{name: theta}), x)))
-
-        point = {"x": x, "a": layer.a, "b": layer.b}
-        _fd_errors(errors, point, {"x": dx, "a": da, "b": db}, value, h_step)
-    return _gradcheck_result("lora_vjp", errors, instances)
+    return {"x": x, "a": layer.a, "b": layer.b}, {"x": dx, "a": da, "b": db}, value
 
 
-def gradcheck_loss(seed: int = 0, instances: int = 10, h_step: float = 1e-5) -> GradcheckResult:
-    rng = np.random.default_rng(seed)
-    errors: dict[str, float] = {}
-    hyper = LossHyper()
-    for _ in range(instances):
-        h = int(rng.integers(3, 9))
-        w = int(rng.integers(3, 9))
-        pred = rng.uniform(0.05, 0.95, size=(h, w))
-        gt = rng.random((h, w)) < 0.5
-        if not gt.any():
-            gt[0, 0] = True
-        if gt.all():
-            gt[0, 0] = False
-        weights = LossWeights(
-            lam1=float(rng.uniform(0.2, 2.0)),
-            lam2=float(rng.uniform(0.2, 2.0)),
-            lam3=float(rng.uniform(0.2, 2.0)),
-        )
+def _draw_loss(rng: np.random.Generator):
+    h = int(rng.integers(3, 9))
+    w = int(rng.integers(3, 9))
+    pred = rng.uniform(0.05, 0.95, size=(h, w))
+    gt = rng.random((h, w)) < 0.5
+    if not gt.any():
+        gt[0, 0] = True
+    if gt.all():
+        gt[0, 0] = False
+    weights = LossWeights(
+        lam1=float(rng.uniform(0.2, 2.0)),
+        lam2=float(rng.uniform(0.2, 2.0)),
+        lam3=float(rng.uniform(0.2, 2.0)),
+    )
 
-        def value(_, p):
-            return combined_loss(np.clip(p, 0.0, 1.0), gt, weights, hyper)[0]
+    def value(_, p):
+        return combined_loss(np.clip(p, 0.0, 1.0), gt, weights)[0]
 
-        analytic = {"pred": loss_grads(pred, gt, weights, hyper)}
-        _fd_errors(errors, {"pred": pred}, analytic, value, h_step)
-    return _gradcheck_result("loss_grads", errors, instances)
+    return {"pred": pred}, {"pred": loss_grads(pred, gt, weights)}, value
 
 
 def gradcheck_all(seed: int = 0, instances: int = 10) -> list[GradcheckResult]:
@@ -260,9 +242,9 @@ def gradcheck_all(seed: int = 0, instances: int = 10) -> list[GradcheckResult]:
     if instances < 1:
         raise ValidationError(f"gradcheck needs at least 1 instance, got {instances}")
     return [
-        gradcheck_dsga(seed, instances),
-        gradcheck_lora(seed + 1, instances),
-        gradcheck_loss(seed + 2, instances),
+        _gradcheck("dsga_vjp", seed, instances, _draw_dsga),
+        _gradcheck("lora_vjp", seed + 1, instances, _draw_lora),
+        _gradcheck("loss_grads", seed + 2, instances, _draw_loss),
     ]
 
 

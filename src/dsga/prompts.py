@@ -22,6 +22,8 @@ from typing import Optional
 import numpy as np
 from scipy.sparse import csr_array
 
+from .numerics import as_mask
+
 __all__ = [
     "PromptConfig",
     "PointPrompt",
@@ -72,20 +74,11 @@ class ScoredInstance:
     source_prompt: Optional[PointPrompt] = None
 
     def __post_init__(self) -> None:
-        self.mask = _as_mask(self.mask)
+        self.mask = as_mask(self.mask, "mask")
         if not self.mask.any():
             raise ValueError("instance mask is empty")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
-
-
-def _as_mask(mask, name: str = "mask") -> np.ndarray:
-    """The 2-D boolean mask (nonzero = foreground) of an array-like; a bool
-    array comes back as is, not copied."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {mask.shape}")
-    return mask
 
 
 def _cell_sums(a: np.ndarray, g: int, axes=(0, 1)) -> np.ndarray:
@@ -100,7 +93,7 @@ def _cell_sums(a: np.ndarray, g: int, axes=(0, 1)) -> np.ndarray:
 
 def grid_saliency(mask: np.ndarray, g: int) -> np.ndarray:
     """Per-cell foreground fraction on the ceil(H/g) x ceil(W/g) grid."""
-    mask = _as_mask(mask)
+    mask = as_mask(mask, "mask")
     if g < 1:
         raise ValueError(f"grid size must be >= 1, got {g}")
     return _cell_sums(mask, g) / _cell_sums(np.ones(mask.shape, bool), g)
@@ -111,7 +104,7 @@ def cell_centroid(
 ) -> Optional[tuple[int, int]]:
     """Floor-of-mean centroid (x, y) of foreground pixels inside a cell
     rectangle (y0, x0, y1, x1), or None when the cell has no foreground."""
-    mask = _as_mask(mask)
+    mask = as_mask(mask, "mask")
     y0, x0, y1, x1 = cell
     if not (0 <= y0 <= y1 <= mask.shape[0] and 0 <= x0 <= x1 <= mask.shape[1]):
         raise ValueError(f"cell {cell} outside mask bounds {mask.shape}")
@@ -133,7 +126,7 @@ def generate_prompts(mask: np.ndarray, cfg: PromptConfig) -> list[PointPrompt]:
     which equals the floor of the mean (the sums are exact integers). The
     coordinate sums weight the mask summed along the other axis, so no
     temporary is as large as the mask."""
-    mask = _as_mask(mask)
+    mask = as_mask(mask, "mask")
     g = cfg.grid_size
     h, w = mask.shape
     by_row = _cell_sums(mask, g, axes=(0,))  # [cell rows, W]
@@ -182,12 +175,9 @@ def pairwise_iou(a_masks, b_masks) -> np.ndarray:
     incidence matrices and union = |a| + |b| - intersection, so memory
     follows the foreground pixels, not the image size."""
     same = a_masks is b_masks
-    a_masks = [np.asarray(m) for m in a_masks]
-    b_masks = a_masks if same else [np.asarray(m) for m in b_masks]
+    a_masks = [as_mask(m, "mask") for m in a_masks]
+    b_masks = a_masks if same else [as_mask(m, "mask") for m in b_masks]
     shapes = {m.shape for m in a_masks + b_masks}
-    for shape in shapes:
-        if len(shape) != 2:
-            raise ValueError(f"mask must be 2-D, got shape {shape}")
     if len(shapes) > 1:
         raise ValueError(f"mask dimensions differ: {sorted(shapes)}")
     size = a_masks[0].size if a_masks else b_masks[0].size if b_masks else 0

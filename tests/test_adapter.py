@@ -816,11 +816,33 @@ class TestDsgaVjp:
             fd = finite_diff_grad(f, theta0)
             assert max_hybrid_error(np.asarray(getattr(grads, name)), fd) <= 1e-4, name
 
-    def test_requires_no_dropout(self):
-        cfg = DsgaConfig(embed_dim=8, dropout_prob=0.2, mode="train", seed=1)
-        params = init_dsga_params(cfg)
-        with pytest.raises(ValueError, match="dropout"):
-            dsga_vjp(np.zeros((1, 2, 2, 8)), params, cfg, np.zeros((1, 2, 2, 8)))
+    @pytest.mark.parametrize("prob", [0.1, 0.3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_train_mode_dropout_matches_fd(self, prob, seed):
+        # the forward draws its mask from (size, prob, seed) alone, so every
+        # finite-difference evaluation drops the same hidden units
+        cfg = DsgaConfig(
+            embed_dim=8, reduction_ratio=0.5, k_max=3,
+            dropout_prob=prob, mode="train", seed=60 + seed,
+        )
+        params = init_dsga_params(cfg, precision="double")
+        rng = np.random.default_rng(60 + seed)
+        x = rng.standard_normal((1, 3, 3, 8))
+        upstream = rng.standard_normal(x.shape)
+        dx, grads = dsga_vjp(x, params, cfg, upstream)
+        assert not np.all(dropout_mask(9 * cfg.d_hidden, prob, cfg.seed))  # some unit dropped
+
+        fd_x = finite_diff_grad(
+            lambda t: float(np.sum(upstream * dsga_forward(t, params, cfg)[0])), x
+        )
+        assert max_hybrid_error(dx, fd_x) <= 1e-4
+        for name in ("up_w", "fusion_w", "down_w"):
+            def f(theta, name=name):
+                out, _ = dsga_forward(x, replace(params, **{name: theta}), cfg)
+                return float(np.sum(upstream * out))
+
+            fd = finite_diff_grad(f, getattr(params, name))
+            assert max_hybrid_error(getattr(grads, name), fd) <= 1e-4, name
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 3), (2, 3, 1)])
     def test_degenerate_spatial_shapes_match_fd(self, shape):
@@ -1224,6 +1246,19 @@ class TestVjpOracle:
         upstream[0, 0, 0, 0] = np.nan
         with pytest.raises(NumericalError, match="upstream"):
             dsga_vjp(x, init_dsga_params(cfg, precision="double"), cfg, upstream)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_upstream_in_the_working_dtype_is_not_written(self, dtype):
+        # the upstream is taken uncopied when no cast is needed
+        cfg = DsgaConfig(embed_dim=8, k_max=3, dropout_prob=0.0, mode="eval", seed=79)
+        params = init_dsga_params(cfg, precision="single" if dtype == np.float32 else "double")
+        rng = np.random.default_rng(79)
+        x = rng.standard_normal((1, 3, 3, 8)).astype(dtype)
+        upstream = rng.standard_normal(x.shape).astype(dtype)
+        before = upstream.copy()
+        dx, _ = dsga_vjp(x, params, cfg, upstream)
+        assert dx.dtype == dtype and not np.shares_memory(dx, upstream)
+        assert np.array_equal(upstream, before)
 
     def test_no_gather_or_offset_buffer(self, monkeypatch):
         # 32x32x768 with k = k_max = 8: a [B, N, k, Dh] float64 gather is 8

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dsga import metrics as metrics_module
+from dsga import numerics
 from dsga.metrics import (
     DetectionSet,
     _count_scores,
@@ -599,7 +599,7 @@ class TestIouMatchingOracle:
 THRESHOLDS = np.arange(256) / 255.0
 
 
-def searchsorted_sweep(sal, gt, beta_sq=0.3):
+def searchsorted_sweep(sal, gt):
     def counts_above(levels):
         hist = np.bincount(levels, minlength=257)
         return np.cumsum(hist[::-1])[::-1][1:]
@@ -607,7 +607,7 @@ def searchsorted_sweep(sal, gt, beta_sq=0.3):
     levels = np.searchsorted(THRESHOLDS, sal.ravel())
     pp = counts_above(levels)
     tp = counts_above(levels[gt.ravel()])
-    scores = _count_scores(tp, pp, int(np.count_nonzero(gt)), gt.size, beta_sq)
+    scores = _count_scores(tp, pp, int(np.count_nonzero(gt)), gt.size)
     return np.stack(scores, axis=1)
 
 
@@ -811,13 +811,13 @@ class TestSMeasureCells:
 class TestSingleValidation:
     def test_report_validates_each_map_once(self, monkeypatch):
         calls = []
-        checked = metrics_module._as_saliency
+        checked = numerics.as_unit_map
 
-        def counting(sal):
+        def counting(values, name):
             calls.append(1)
-            return checked(sal)
+            return checked(values, name)
 
-        monkeypatch.setattr(metrics_module, "_as_saliency", counting)
+        monkeypatch.setattr(numerics, "as_unit_map", counting)
         rng = np.random.default_rng(82)
         for sal, gt in oracle_maps(rng, trials=12):
             calls.clear()

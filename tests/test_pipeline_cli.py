@@ -134,20 +134,37 @@ class TestConfig:
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
+# one value per field that has the field's type but lies outside its range
+OUT_OF_RANGE = {
+    "dsga.embed_dim": 0, "dsga.reduction_ratio": 1.5, "dsga.k_max": 0,
+    "dsga.decay_exponent": 0.0, "dsga.dropout_prob": 1.0, "dsga.mode": "predict",
+    "dsga.seed": -1,
+    "lora.rank": 0, "lora.targets": ["key"], "lora.num_layers": -1,
+    "prompt.grid_size": 0, "prompt.saliency_threshold": 1.5, "prompt.n_min": 0,
+    "prompt.n_max": 0,
+    "backbone.layers": -1, "backbone.embed_dim": 0, "backbone.params_frozen": 0,
+    "LossHyper.focal_gamma": -1.0, "LossHyper.focal_alpha": 1.5, "LossHyper.dice_smooth": 0.0,
+    "LossWeights.lam1": -1.0, "LossWeights.lam2": -1.0, "LossWeights.lam3": -1.0,
+    "LossWeights.ema_beta": 1.0,
+}
+
+
 def config_field_cases():
     """Every field of every config section, each with a non-finite number, a
-    bool and a string."""
+    bool, a string and one out-of-range value."""
     for section in dataclasses.fields(PipelineConfig):
         for fld in dataclasses.fields(section.default_factory()):
-            for value in NON_FINITE + [True, "bogus"]:
-                yield pytest.param(section.name, fld.name, value, id=f"{section.name}.{fld.name}={value}")
+            name = f"{section.name}.{fld.name}"
+            for value in NON_FINITE + [True, "bogus", OUT_OF_RANGE[name]]:
+                yield pytest.param(section.name, fld.name, value, id=f"{name}={value}")
 
 
 def loss_field_cases():
     for cls in (LossHyper, LossWeights):
         for fld in dataclasses.fields(cls):
-            for value in NON_FINITE:
-                yield pytest.param(cls, fld.name, value, id=f"{cls.__name__}.{fld.name}={value}")
+            name = f"{cls.__name__}.{fld.name}"
+            for value in NON_FINITE + [True, "bogus", OUT_OF_RANGE[name]]:
+                yield pytest.param(cls, fld.name, value, id=f"{name}={value}")
 
 
 class TestNonFiniteValues:
@@ -268,21 +285,22 @@ class TestAudit:
 
 
 class TestGradcheckHarness:
-    def test_fd_errors_keeps_worst_per_name(self):
-        # value(name, t) = sum(t^2) for every name, so the exact gradient is 2t
-        errors = {}
+    def test_gradcheck_keeps_worst_per_name(self):
+        # value(name, t) = sum(t^2) for every name, so the exact gradient is 2t;
+        # the first draw is off in one entry of "b", the second is exact
         point = {"b": np.array([1.0, -2.0]), "a": np.array(0.5)}
-
-        def value(_, t):
-            return float(np.sum(t * t))
-
         exact = {name: 2.0 * theta for name, theta in point.items()}
         off = {"b": exact["b"] + [0.0, 0.5], "a": exact["a"]}
-        pipeline._fd_errors(errors, point, off, value, 1e-5)
-        pipeline._fd_errors(errors, point, exact, value, 1e-5)
-        assert list(errors) == ["b", "a"]
-        assert errors["b"] == pytest.approx(0.5 / 4.0, rel=1e-6)  # |-3.5 - (-4)| / 4
-        assert errors["a"] < 1e-9
+        analytic = iter([off, exact])
+
+        def draw(rng):
+            return point, next(analytic), lambda _, t: float(np.sum(t * t))
+
+        result = pipeline._gradcheck("square", 0, 2, draw)
+        assert list(result.errors) == ["b", "a"]
+        assert result.errors["b"] == pytest.approx(0.5 / 4.0, rel=1e-6)  # |-3.5 - (-4)| / 4
+        assert result.errors["a"] < 1e-9
+        assert result.max_rel_err == result.errors["b"] and not result.passed
 
     def test_all_ops_pass(self):
         results = gradcheck_all(seed=0, instances=3)
