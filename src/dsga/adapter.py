@@ -17,12 +17,13 @@ S is only a selection key: the edge weights depend on rank alone, so the
 forward pass never holds S whole. It computes S one block of rows at a time
 (about ``_BLOCK_ELEMS`` entries, so O(rows * N) memory rather than O(N^2)),
 keeps each row's k largest entries, and drops the block. The columns fall
-into ``_GROUPS`` groups by index modulo; the k-th largest group maximum is a
-lower bound on the k-th largest entry, so only the few entries at or above
-it are sorted. A block where the bound admits more than 30% of the entries
-(dense ties) is selected by a partition of each row instead. Neighbors are
-ordered by descending similarity, ties by lowest index, which is exactly a
-stable sort of the full row.
+into ``_GROUPS`` groups by index modulo; the k-th largest group maximum L is
+a lower bound on the k-th largest entry, so only the entries at or above it
+are sorted. Fewer than k groups hold entries above L, so a row has at most
+(k - 1) * ceil(N / groups) of them; when ties at L (flat regions) admit
+more, each row keeps those and its k lowest-index entries equal to L.
+Neighbors are ordered by descending similarity, ties by lowest index, which
+is exactly a stable sort of the full row.
 
 Precision: every stage from the down-projection to the up-projection (Z, S,
 propagation, fusion, both pools, the gated residual, dropout) runs in the
@@ -85,16 +86,9 @@ __all__ = [
 # float32 keys, 16 MB of float64); the block holds
 # max(2, _BLOCK_ELEMS // (B * N)) rows.
 _BLOCK_ELEMS = 2**21
-# Column groups of the top-k candidate bound, and the share of a block's
-# entries above which its candidates are selected by partition instead: the
-# measured crossover. Timed on float32 blocks of 512x4096, 1024x1024 and
-# 256x8192 (k = 6, 2 vCPU, median of 9; BENCH_topk_pool.json,
-# "branch_crossover"), with whole rows tied or c entries per row tied at the
-# top, the sort won every case up to a share of 0.3 (at 512x4096 with 30% of
-# rows tied, 16.3 against 16.8 ms) and the partition won on tied rows from
-# 0.4 on (23.1 against 21.3 ms; 56.9 against 40.0 ms on a constant block).
+# Column groups of the top-k candidate bound (at least k + 1, at most N): more
+# groups give a tighter bound, fewer give a cheaper group-maximum pass.
 _GROUPS = 256
-_CANDIDATE_SHARE = 0.3
 
 
 @dataclass
@@ -317,43 +311,34 @@ def _top_k_rows(key: np.ndarray, row0: int, k: int) -> np.ndarray:
         return np.zeros((b, r, 0), dtype=np.intp)
     local = np.arange(r)
     key[:, local, row0 + local] = -np.inf
-    m = min(_GROUPS, n)
-    if k < m:
-        # column j is in group j % m; the k-th largest group maximum L is at
-        # most the k-th largest value (k distinct entries reach it), so every
-        # entry of the top k or tied with its last one is at least L
-        whole = n - n % m
-        gmax = key[..., :whole].reshape(b, r, -1, m).max(axis=2)
-        np.maximum(gmax[..., : n - whole], key[..., whole:], out=gmax[..., : n - whole])
-        cand = key >= np.partition(gmax, m - k, axis=-1)[..., m - k, None]
-        if np.count_nonzero(cand) <= _CANDIDATE_SHARE * cand.size:
-            # flat indices ascend, so a stable sort by (row, -value) orders
-            # each row as a stable sort of the full row does
-            flat = np.flatnonzero(cand)
-            row = flat // n
-            flat = flat[np.lexsort((-key.reshape(-1)[flat], row))]
-            count = np.bincount(row, minlength=b * r)
-            start = np.cumsum(count) - count
-            return (flat[start[:, None] + np.arange(k)] % n).reshape(b, r, k)
-        # freed before the partition allocates: holding them made the
-        # fallback ~25% slower on a constant field
-        del gmax, cand
-    # dense ties (the bound admits over _CANDIDATE_SHARE of the entries):
-    # partition each row
-    kth = np.partition(key, n - k, axis=-1)[..., n - k, None]
-    keep = key >= kth
-    # rows with more than k entries at or above the k-th value keep the
-    # lowest-index entries of the tie at the k-th value
-    tied = np.count_nonzero(keep, axis=-1) > k
-    if tied.any():
-        sub, cut = key[tied], kth[tied]
-        above, at = sub > cut, sub == cut
-        need = k - np.count_nonzero(above, axis=-1, keepdims=True)
-        keep[tied] = above | (at & (np.cumsum(at, axis=-1) <= need))
-    cols = (np.flatnonzero(keep) % n).reshape(b, r, k)  # ascending index per row
-    vals = np.take_along_axis(key, cols, axis=-1)
-    order = np.argsort(-vals, axis=-1, kind="stable")
-    return np.take_along_axis(cols, order, axis=-1)
+    # column j is in group j % m, and k < m; the k-th largest group maximum L
+    # is at most the k-th largest value (k distinct entries reach it), so
+    # every entry of the top k or tied with its last one is at least L
+    m = min(n, max(_GROUPS, k + 1))
+    whole = n - n % m
+    gmax = key[..., :whole].reshape(b, r, -1, m).max(axis=2)
+    np.maximum(gmax[..., : n - whole], key[..., whole:], out=gmax[..., : n - whole])
+    bound = np.partition(gmax, m - k, axis=-1)[..., m - k, None]
+    cand = key >= bound
+    # fewer than k groups hold entries above L, at most (k-1)*ceil(n/m) per
+    # row; with ties at L making more, keep those and each row's first k ties
+    if np.count_nonzero(cand) > b * r * (k + (k - 1) * -(-n // m)):
+        ties = cand
+        cand = key > bound
+        ties ^= cand  # the entries equal to L
+        each_row = np.arange(b)[:, None], local
+        for _ in range(k):  # argmax stops at each row's first remaining tie
+            first = (*each_row, ties.argmax(axis=-1))
+            cand[first] |= ties[first]
+            ties[first] = False
+    # flat indices ascend, so a stable sort by (row, -value) orders each row
+    # as a stable sort of the full row does
+    flat = np.flatnonzero(cand)
+    row = flat // n
+    flat = flat[np.lexsort((-key.reshape(-1)[flat], row))]
+    count = np.bincount(row, minlength=b * r)
+    start = np.cumsum(count) - count
+    return (flat[start[:, None] + np.arange(k)] % n).reshape(b, r, k)
 
 
 def _rank_graph(neighbors: np.ndarray, weights: np.ndarray) -> SimilarityGraph:
@@ -375,7 +360,7 @@ def build_graph(s: np.ndarray, k: int, weights: np.ndarray) -> SimilarityGraph:
     Each row keeps its k largest similarities, ordered by descending value
     with ties broken by lowest index (the order of a stable sort). They are
     sorted out of the entries at or above the k-th largest maximum over
-    column groups, or found by a partition when ties make those many.
+    column groups, with a dense tie at that bound cut to its first k.
     Self-connections carry pre-normalization weight 1 and never compete in
     the top-k. k is clamped to N - 1 when fewer candidates exist (N = 1
     yields the pure self-loop graph). Non-finite similarities raise

@@ -41,14 +41,6 @@ EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
 
-def _emit(obj, out_path: str | None) -> None:
-    if out_path:
-        fileio.write_json(out_path, obj)
-    else:
-        json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -96,7 +88,7 @@ def cmd_instances_dedup(args) -> int:
     kept = dedup_instances(candidates, tau_o=args.iou_threshold)
     by_id = {id(c): i for i, c in enumerate(candidates)}
     entries = [manifest_entries[by_id[id(inst)]] for inst in kept]
-    _emit({"count": len(entries), "instances": entries}, args.out)
+    fileio.write_json(args.out, {"count": len(entries), "instances": entries})
     return EXIT_OK
 
 
@@ -113,7 +105,7 @@ def cmd_loss_eval(args) -> int:
         dice_smooth=args.dice_smooth,
     )
     total, parts = combined_loss(pred, gt, weights, hyper)
-    _emit({"total": total, **parts}, args.out)
+    fileio.write_json(args.out, {"total": total, **parts})
     return EXIT_OK
 
 
@@ -188,7 +180,7 @@ def cmd_metrics_saliency(args) -> int:
     }
     rows = list(images.values())
     means = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}
-    _emit({"images": images, "dataset_mean": means, "count": len(rows)}, args.out)
+    fileio.write_json(args.out, {"images": images, "dataset_mean": means, "count": len(rows)})
     return EXIT_OK
 
 
@@ -200,7 +192,7 @@ def cmd_metrics_instances(args) -> int:
         for e in pipeline.read_instance_manifest(gt_manifest)
     ]
     report = detection_report(DetectionSet(predictions=preds, ground_truths=gts))
-    _emit(report, args.out)
+    fileio.write_json(args.out, report)
     return EXIT_OK
 
 
@@ -210,21 +202,21 @@ def cmd_audit_params(args) -> int:
     else:
         cfg = PipelineConfig()
     report = pipeline.audit_params(cfg)
-    _emit(report.as_dict(), args.out)
+    fileio.write_json(args.out, report.as_dict())
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
     results = pipeline.gradcheck_all(seed=args.seed, instances=args.instances)
     report = {"ops": [r.as_dict() for r in results], "pass": all(r.passed for r in results)}
-    _emit(report, args.out)
+    fileio.write_json(args.out, report)
     if not report["pass"]:
         raise NumericalError("gradient check failed; see report")
     return EXIT_OK
 
 
 def cmd_demo(args) -> int:
-    _emit(pipeline.demo_synthetic(seed=args.seed, out_dir=args.out), None)
+    fileio.write_json(None, pipeline.demo_synthetic(seed=args.seed, out_dir=args.out))
     return EXIT_OK
 
 

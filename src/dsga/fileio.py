@@ -15,7 +15,9 @@ Instance manifests: JSON object with an ``"instances"`` list of
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,23 +62,29 @@ def write_tns(path, arr: np.ndarray) -> None:
 
 def read_tns(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        header_line = fh.readline()
         try:
-            header = json.loads(header_line.decode("ascii"))
-            shape = [int(s) for s in header["shape"]]
-            dt = _TNS_DTYPES[header["dtype"]]
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+            header = json.loads(fh.readline().decode("ascii"))
+        except (ValueError, UnicodeDecodeError) as exc:
             raise FileFormatError(f"{path}: bad TNS1 header") from exc
-        if any(s < 0 for s in shape):
-            raise FileFormatError(f"{path}: negative extent in shape {shape}")
-        count = int(np.prod(shape)) if shape else 1
+        if not isinstance(header, dict):
+            raise FileFormatError(f"{path}: TNS1 header is not a JSON object")
+        shape, code = header.get("shape"), header.get("dtype")
+        # JSON true and 2.7 are no extents: a bool is an int, and int() truncates
+        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+            raise FileFormatError(f"{path}: bad TNS1 shape {shape!r}")
+        if code not in ("f32", "f64"):
+            raise FileFormatError(f"{path}: bad TNS1 dtype {code!r}")
+        dt = _TNS_DTYPES[code]
         raw = fh.read()
-    expected = count * dt.itemsize
+    expected = math.prod(shape) * dt.itemsize  # exact: np.prod wraps at 2**64
     if len(raw) != expected:
         raise FileFormatError(
             f"{path}: payload is {len(raw)} bytes, header implies {expected}"
         )
-    arr = np.frombuffer(raw, dtype=dt).reshape(shape)
+    try:  # an empty payload can still claim extents numpy cannot index
+        arr = np.frombuffer(raw, dtype=dt).reshape(shape)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: shape {shape} is too large") from exc
     # native byte order + writable copy; construction validates finiteness
     arr = arr.astype(dt.newbyteorder("="), copy=True)
     try:
@@ -144,12 +152,16 @@ def read_mask(path) -> np.ndarray:
     return _read_pgm_gray(path) > 127
 
 
-def write_mask_pgm(path, mask: np.ndarray) -> None:
-    mask = np.asarray(mask)
-    h, w = mask.shape
+def _write_pgm(path, gray: np.ndarray) -> None:
+    """A [H, W] uint8 array as binary PGM (P5, maxval 255)."""
+    h, w = gray.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write((mask.astype(np.uint8) * 255).tobytes())
+        fh.write(gray.tobytes())
+
+
+def write_mask_pgm(path, mask: np.ndarray) -> None:
+    _write_pgm(path, np.asarray(mask).astype(np.uint8) * 255)
 
 
 def write_mask_pbm(path, mask: np.ndarray) -> None:
@@ -174,15 +186,17 @@ def read_saliency(path) -> np.ndarray:
 
 def write_saliency_pgm(path, sal: np.ndarray) -> None:
     sal = np.clip(np.asarray(sal, dtype=np.float64), 0.0, 1.0)
-    h, w = sal.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.rint(sal * 255.0).astype(np.uint8).tobytes())
+    _write_pgm(path, np.rint(sal * 255.0).astype(np.uint8))
 
 
 def write_json(path, obj) -> None:
-    # sorted keys + fixed separators keep repeated runs byte-identical
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Indented JSON with sorted keys, so repeated runs are byte-identical; a
+    path of None (or empty) writes it to stdout."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def read_json(path):

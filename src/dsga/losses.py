@@ -104,6 +104,7 @@ class DistanceMap:
 def focal_loss(pred, gt, gamma: float = 2.0, alpha_bal: float = 0.25) -> float:
     """Mean of -alpha_t (1 - p_t)^gamma log(p_t); probabilities are clamped
     to [1e-7, 1 - 1e-7] before the log."""
+    LossHyper(focal_gamma=gamma, focal_alpha=alpha_bal)  # LossHyper range-checks both
     pred, gt = checked_pair(pred, gt, "prediction")
     p = np.clip(pred, CLIP_EPS, 1.0 - CLIP_EPS)
     p_t = np.where(gt, p, 1.0 - p)
@@ -113,8 +114,7 @@ def focal_loss(pred, gt, gamma: float = 2.0, alpha_bal: float = 0.25) -> float:
 
 def dice_loss(pred, gt, smooth: float = 1.0) -> float:
     """1 - (2 sum(p*g) + smooth) / (sum(p) + sum(g) + smooth)."""
-    if smooth <= 0:
-        raise ValueError(f"smooth must be > 0, got {smooth}")
+    LossHyper(dice_smooth=smooth)  # LossHyper range-checks it
     pred, gt = checked_pair(pred, gt, "prediction")
     g = gt.astype(np.float64)
     num = 2.0 * float(np.sum(pred * g)) + smooth

@@ -365,23 +365,26 @@ def partition_top_k(key, row0, k):
     return np.take_along_axis(cols, order, axis=-1)
 
 
-# candidate shares: the module's, one that sends every block to the
-# partition and one that sends every block with k < m to the candidate sort
-CANDIDATE_SHARES = {"default": adapter._CANDIDATE_SHARE, "partition": 0.0, "candidates": 1.0}
-
-
-def count_candidate_sorts(monkeypatch):
-    """Counts the blocks selected by the candidate sort (the only caller of
-    np.lexsort in the forward) in ``calls[0]``."""
-    calls = [0]
+def record_sort_sizes(monkeypatch):
+    """The number of keys each np.lexsort call sorts, in order: the candidates
+    of each block that _top_k_rows selects from (it is the only caller of
+    np.lexsort in the forward)."""
+    sizes = []
     lexsort = np.lexsort
 
-    def counting(keys, *args, **kwargs):
-        calls[0] += 1
+    def recording(keys, *args, **kwargs):
+        sizes.append(len(keys[0]))
         return lexsort(keys, *args, **kwargs)
 
-    monkeypatch.setattr(np, "lexsort", counting)
-    return calls
+    monkeypatch.setattr(np, "lexsort", recording)
+    return sizes
+
+
+def candidate_cap(rows, n, k):
+    """At most (k - 1) * ceil(n / m) entries of a row exceed the group bound
+    (fewer than k groups hold them), plus the row's first k ties at it."""
+    m = min(n, max(adapter._GROUPS, k + 1))
+    return rows * (k + (k - 1) * -(-n // m))
 
 
 def streamed_vs_partition(monkeypatch, z, k, rows=None):
@@ -411,52 +414,37 @@ def two_valued_tokens(rng, b, n, dh):
 
 
 class TestGroupBoundSelection:
-    """The top-k selection through the group-maximum candidate bound (and its
-    partition fallback) is bit-equal to the full-row partition."""
+    """The top-k selection through the group-maximum candidate bound, with
+    dense ties at the bound cut to their first k, is bit-equal to the
+    full-row partition."""
 
-    @pytest.mark.parametrize("share", CANDIDATE_SHARES)
     @pytest.mark.parametrize("n", [600, 1000, 1500])
-    def test_tied_tokens_with_multi_column_groups(self, n, share, monkeypatch):
+    def test_tied_tokens_with_multi_column_groups(self, n, monkeypatch):
         # n > 256 puts two or more columns in each group, and 256 divides none of n
-        monkeypatch.setattr(adapter, "_CANDIDATE_SHARE", CANDIDATE_SHARES[share])
         rng = np.random.default_rng(80 + n)
-        calls = count_candidate_sorts(monkeypatch)
         for b, dh, k, rows in [(1, 4, 6, None), (2, 3, 8, 97), (1, 6, 1, 250)]:
             streamed_vs_partition(monkeypatch, tied_tokens(rng, b, n, dh), k, rows)
-        # the zero tokens (a tenth) tie whole rows, which stays under the
-        # module's share, so these blocks take the candidate sort;
-        # test_branch_per_block covers both branches under it
-        assert (calls[0] > 0) == (share != "partition")
 
-    @pytest.mark.parametrize("share", CANDIDATE_SHARES)
-    def test_dense_ties(self, share, monkeypatch):
-        monkeypatch.setattr(adapter, "_CANDIDATE_SHARE", CANDIDATE_SHARES[share])
+    def test_dense_ties(self, monkeypatch):
         rng = np.random.default_rng(90)
-        calls = count_candidate_sorts(monkeypatch)
         for z in (np.ones((1, 700, 5)), two_valued_tokens(rng, 2, 700, 5)):
             for k in (1, 6):
                 streamed_vs_partition(monkeypatch, z, k)
                 streamed_vs_partition(monkeypatch, z, k, rows=128)
-        # with the module's share these fields take the partition fallback
-        assert (calls[0] > 0) == (share == "candidates")
 
-    @pytest.mark.parametrize("share", CANDIDATE_SHARES)
-    def test_batch_of_two_and_extreme_k(self, share, monkeypatch):
-        monkeypatch.setattr(adapter, "_CANDIDATE_SHARE", CANDIDATE_SHARES[share])
+    def test_batch_of_two_and_extreme_k(self, monkeypatch):
         rng = np.random.default_rng(91)
-        # k = n - 1 is below m = n = 200 (every column its own group) and
-        # above m = 256 at n = 300
+        # k = n - 1 gives m = n = 200 (every column its own group) and, at
+        # n = 300, m = n above the 256 default groups
         for n, ks in ((200, (0, 1, 199, 203)), (300, (0, 1, 299)), (520, (0, 1, 6))):
             z = tied_tokens(rng, 2, n, 4)
             for k in ks:
                 streamed_vs_partition(monkeypatch, z, k)
                 streamed_vs_partition(monkeypatch, z, k, rows=111)
 
-    @pytest.mark.parametrize("share", CANDIDATE_SHARES)
-    def test_self_entry_alone_large_in_its_group(self, share, monkeypatch):
+    def test_self_entry_alone_large_in_its_group(self):
         # each row's own entry is its group's only large value: masking it
         # leaves that group's maximum among the smallest of the row
-        monkeypatch.setattr(adapter, "_CANDIDATE_SHARE", CANDIDATE_SHARES[share])
         rng = np.random.default_rng(92)
         b, n = 2, 700
         s = rng.uniform(-1.0, 0.0, size=(b, n, n))
@@ -470,18 +458,25 @@ class TestGroupBoundSelection:
             assert np.array_equal(build_graph(s, k, np.ones(k)).neighbors, ref)
             assert np.array_equal(ref, argsort_neighbors(s, k))
 
-    def test_branch_per_block(self, monkeypatch):
-        # one field, blocks of 100 rows: blocks of distinct tokens take the
-        # candidate sort, blocks of identical tokens (each row ties 399 of
-        # 1000 entries, over the module's share) the partition
+    @pytest.mark.parametrize("rows", [100, 128])
+    def test_dense_ties_sort_at_most_the_cap(self, rows, monkeypatch):
+        # constant, two-valued and half-tied fields: without the cut every
+        # row of a tied block would sort all of its n - 1 tied entries
         rng = np.random.default_rng(93)
-        z = rng.standard_normal((1, 1000, 6))
-        z[0, 300:700] = z[0, 300]
-        streamed_vs_partition(monkeypatch, z, 6, rows=100)
-        set_block_rows(monkeypatch, 100, 1, 1000)
-        calls = count_candidate_sorts(monkeypatch)
-        adapter._streamed_graph(z, 6, np.ones(6))
-        assert calls[0] == 6
+        half = rng.standard_normal((1, 1000, 6))
+        half[0, 300:800] = half[0, 300]
+        for z in (np.ones((1, 1000, 6)), two_valued_tokens(rng, 2, 1000, 6), half):
+            b, n, _ = z.shape
+            for k in (1, 2, 6):
+                streamed_vs_partition(monkeypatch, z, k, rows=rows)
+                with monkeypatch.context() as m:
+                    set_block_rows(m, rows, b, n)
+                    blocks = record_blocks(m)
+                    sizes = record_sort_sizes(m)
+                    adapter._streamed_graph(z, k, np.ones(k))
+                assert len(sizes) == len(blocks)
+                for size, blk in zip(sizes, blocks):
+                    assert size <= candidate_cap(b * blk.shape[1], n, k)
 
 
 class TestPropagate:

@@ -55,6 +55,28 @@ class TestTns:
         with pytest.raises(FileFormatError, match="header"):
             read_tns(path)
 
+    # each header with the payload it would imply if read loosely: [2.7] as
+    # [2] and [true, 2] as [1, 2] (two float32 zeros), and the huge shapes as
+    # empty, which np.prod's wrap to 0 (or a zero extent) would accept
+    @pytest.mark.parametrize(
+        "header, payload",
+        [
+            ('{"shape": 5, "dtype": "f32"}', 20),
+            ('{"shape": null, "dtype": "f32"}', 0),
+            ("[1, 2]", 8),
+            ('{"shape": [2], "dtype": ["f32"]}', 8),
+            ('{"shape": [2.7], "dtype": "f32"}', 8),
+            ('{"shape": [true, 2], "dtype": "f32"}', 8),
+            ('{"shape": [4294967296, 4294967296], "dtype": "f32"}', 0),
+            ('{"shape": [0, 1180591620717411303424], "dtype": "f32"}', 0),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header, payload):
+        path = tmp_path / "t.tns"
+        path.write_bytes(header.encode("ascii") + b"\n" + bytes(payload))
+        with pytest.raises(FileFormatError):
+            read_tns(path)
+
     def test_nonfinite_payload_rejected(self, tmp_path):
         path = tmp_path / "t.tns"
         header = b'{"shape": [1], "dtype": "f64"}\n'

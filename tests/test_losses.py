@@ -79,6 +79,33 @@ class TestDiceLoss:
             assert 0.0 <= dice_loss(pred, gt) < 1.0
 
 
+class TestTermHyperparameters:
+    """The term functions reject what LossHyper rejects, with its messages."""
+
+    GT = half_foreground((4, 4))
+    PRED = np.full((4, 4), 0.5)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, -1.0])
+    def test_focal_gamma(self, gamma):
+        with pytest.raises(ValueError, match="focal_gamma"):
+            focal_loss(self.PRED, self.GT, gamma=gamma)
+
+    @pytest.mark.parametrize("alpha", [math.nan, -0.1, 1.5])
+    def test_focal_alpha(self, alpha):
+        with pytest.raises(ValueError, match="focal_alpha"):
+            focal_loss(self.PRED, self.GT, alpha_bal=alpha)
+
+    @pytest.mark.parametrize("smooth", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_dice_smooth(self, smooth):
+        with pytest.raises(ValueError, match="dice_smooth"):
+            dice_loss(self.PRED, self.GT, smooth=smooth)
+
+    def test_bounds_accepted(self):
+        assert math.isfinite(focal_loss(self.PRED, self.GT, gamma=0.0, alpha_bal=0.0))
+        assert math.isfinite(focal_loss(self.PRED, self.GT, gamma=5.0, alpha_bal=1.0))
+        assert math.isfinite(dice_loss(self.PRED, self.GT, smooth=1e-12))
+
+
 class TestSignedDistance:
     def test_three_pixel_strip(self):
         gt = np.array([[0, 1, 0]], dtype=bool)

@@ -263,6 +263,18 @@ class TestLoraApplyFinite:
         assert err == "numerical failure: lora output contains non-finite values\n"
         assert not (tmp_path / "h.tns").exists()
 
+    @pytest.mark.parametrize("header", ['{"shape": 5, "dtype": "f32"}', "[1, 2]",
+                                        '{"shape": [4294967296, 4294967296], "dtype": "f32"}'])
+    def test_malformed_tns_header_exits_two(self, tmp_path, capsys, header):
+        self.write_inputs(tmp_path)
+        (tmp_path / "a.tns").write_bytes(header.encode("ascii") + b"\n")
+        capsys.readouterr()
+        assert self.run(tmp_path, "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
+        assert "a.tns" in captured.err and not (tmp_path / "h.tns").exists()
+
 
 class TestAudit:
     def test_vit_base_defaults(self):
