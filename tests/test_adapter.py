@@ -413,38 +413,54 @@ def two_valued_tokens(rng, b, n, dh):
     return pair[rng.integers(0, 2, size=(b, n))]
 
 
+# column-group counts: the module's; the fewest (m = k + 1, the loosest bound,
+# so a row's candidates are nearly the whole row, as for a partition); and
+# one group per column (m = n, the tightest bound and the fewest candidates)
+GROUP_COUNTS = {"default": adapter._GROUPS, "partition": 1, "candidates": 2**31}
+
+
 class TestGroupBoundSelection:
     """The top-k selection through the group-maximum candidate bound, with
     dense ties at the bound cut to their first k, is bit-equal to the
     full-row partition."""
 
+    @pytest.mark.parametrize("groups", GROUP_COUNTS)
     @pytest.mark.parametrize("n", [600, 1000, 1500])
-    def test_tied_tokens_with_multi_column_groups(self, n, monkeypatch):
-        # n > 256 puts two or more columns in each group, and 256 divides none of n
+    def test_tied_tokens_with_multi_column_groups(self, n, groups, monkeypatch):
+        # with the module's 256 groups, n > 256 puts two or more columns in
+        # each group, and 256 divides none of n
+        monkeypatch.setattr(adapter, "_GROUPS", GROUP_COUNTS[groups])
         rng = np.random.default_rng(80 + n)
         for b, dh, k, rows in [(1, 4, 6, None), (2, 3, 8, 97), (1, 6, 1, 250)]:
             streamed_vs_partition(monkeypatch, tied_tokens(rng, b, n, dh), k, rows)
 
-    def test_dense_ties(self, monkeypatch):
+    @pytest.mark.parametrize("groups", GROUP_COUNTS)
+    def test_dense_ties(self, groups, monkeypatch):
+        monkeypatch.setattr(adapter, "_GROUPS", GROUP_COUNTS[groups])
         rng = np.random.default_rng(90)
         for z in (np.ones((1, 700, 5)), two_valued_tokens(rng, 2, 700, 5)):
             for k in (1, 6):
                 streamed_vs_partition(monkeypatch, z, k)
                 streamed_vs_partition(monkeypatch, z, k, rows=128)
 
-    def test_batch_of_two_and_extreme_k(self, monkeypatch):
+    @pytest.mark.parametrize("groups", GROUP_COUNTS)
+    def test_batch_of_two_and_extreme_k(self, groups, monkeypatch):
+        monkeypatch.setattr(adapter, "_GROUPS", GROUP_COUNTS[groups])
         rng = np.random.default_rng(91)
         # k = n - 1 gives m = n = 200 (every column its own group) and, at
-        # n = 300, m = n above the 256 default groups
+        # n = 300, m = n above the 256 default groups, whatever the group count
         for n, ks in ((200, (0, 1, 199, 203)), (300, (0, 1, 299)), (520, (0, 1, 6))):
             z = tied_tokens(rng, 2, n, 4)
             for k in ks:
                 streamed_vs_partition(monkeypatch, z, k)
                 streamed_vs_partition(monkeypatch, z, k, rows=111)
 
-    def test_self_entry_alone_large_in_its_group(self):
-        # each row's own entry is its group's only large value: masking it
-        # leaves that group's maximum among the smallest of the row
+    @pytest.mark.parametrize("groups", GROUP_COUNTS)
+    def test_self_entry_alone_large_in_its_group(self, groups, monkeypatch):
+        # with the module's groups, each row's own entry is its group's only
+        # large value: masking it leaves that group's maximum among the
+        # smallest of the row
+        monkeypatch.setattr(adapter, "_GROUPS", GROUP_COUNTS[groups])
         rng = np.random.default_rng(92)
         b, n = 2, 700
         s = rng.uniform(-1.0, 0.0, size=(b, n, n))
