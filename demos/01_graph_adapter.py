@@ -19,7 +19,7 @@ from dsga import (
     rank_weights,
     similarity_matrix,
 )
-from dsga.adapter import init_theta_k
+from dsga.adapter import RANK_DECAY, init_theta_k
 
 rng = np.random.default_rng(0)
 
@@ -42,7 +42,7 @@ k = adaptive_k(theta, cfg.k_max)
 print(f"neighbor budget from the learnable gate: k = {k} of k_max = {cfg.k_max}")
 
 # --- stage 3: rank weights and the sparse adjacency ------------------------
-logits = init_rank_weights(cfg.k_max, cfg.decay_exponent)
+logits = init_rank_weights(cfg.k_max, RANK_DECAY)
 w = rank_weights(logits)
 print(f"rank weights (closest neighbor first): {np.round(w, 4)}")
 

@@ -42,10 +42,12 @@ print(f"cotangents: x {dx.shape}, A {da.shape}, B {db.shape} (none for W0)")
 
 # parameter accounting for the reference configuration: rank-8 updates on
 # the query/value projections of a 12-layer, 768-wide backbone
-cfg = LoraConfig(rank=8, targets=("query", "value"), num_layers=12)
-n = lora_parameter_count(cfg, d=768, k_dim=768)
+cfg = LoraConfig(rank=8, targets=("query", "value"))
+n = lora_parameter_count(cfg, d=768, k_dim=768, num_layers=12)
 print(f"\nreference low-rank budget: {n:,} trainable scalars ({n / 1e6:.2f}M)")
 
+# the audit takes the width from dsga.embed_dim and the depth from
+# backbone.layers, and puts both adapters in every block
 report = audit_params(PipelineConfig())
 print(f"graph adapter:  {report.dsga_params:,} "
       f"(reference {report.dsga_reference_millions:.2f}M, "
@@ -55,3 +57,9 @@ print(f"low-rank update: {report.lora_params:,} "
       f"discrepancy flagged: {report.lora_reference_discrepancy})")
 print(f"combined: {report.total_trainable:,} trainable of "
       f"{report.frozen_total:,} frozen = {100 * report.trainable_fraction:.2f}%")
+
+# a ViT-Large encoder: 24 blocks of 1024-wide tokens, set once each
+large = audit_params(PipelineConfig.from_dict(
+    {"dsga": {"embed_dim": 1024}, "backbone": {"layers": 24}}))
+print(f"ViT-Large profile: graph adapter {large.dsga_params:,}, "
+      f"low-rank update {large.lora_params:,}")

@@ -67,7 +67,6 @@ from .numerics import (
     finite_diff_grad,
     gelu,
     l2_normalize,
-    matmul,
     sigmoid,
     softmax,
 )

@@ -47,15 +47,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import matmul  # bound here so a tracer can wrap adapter.matmul
 from scipy.sparse import csr_array
 
 from .numerics import (
+    NumericalError,
     as_cotangent,
     check_finite,
     gelu,
     gelu_grad,
     l2_normalize,
-    matmul,
     sigmoid,
     sigmoid_grad,
     softmax,
@@ -89,6 +90,8 @@ _BLOCK_ELEMS = 2**21
 # Column groups of the top-k candidate bound (at least k + 1, at most N): more
 # groups give a tighter bound, fewer give a cheaper group-maximum pass.
 _GROUPS = 256
+# Exponent p of the polynomial-decay rank logits that init_dsga_params draws.
+RANK_DECAY = 2.0
 
 
 @dataclass
@@ -98,7 +101,6 @@ class DsgaConfig:
     embed_dim: int
     reduction_ratio: float = 0.25
     k_max: int = 8
-    decay_exponent: float = 2.0
     dropout_prob: float = 0.1
     mode: str = "eval"
     seed: int = 0
@@ -110,8 +112,6 @@ class DsgaConfig:
             raise ValueError(f"reduction_ratio must be in (0, 1], got {self.reduction_ratio}")
         if not self.k_max >= 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if not 0.0 < self.decay_exponent < math.inf:
-            raise ValueError(f"decay_exponent must be finite and > 0, got {self.decay_exponent}")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
         if self.mode not in ("train", "eval"):
@@ -194,7 +194,8 @@ def init_theta_k(k_max: int) -> float:
 
 def init_dsga_params(cfg: DsgaConfig, precision: str = "single") -> DsgaParams:
     """Seeded initialization; up-projection scale matches the down one (callers
-    zero it out to start from the identity map)."""
+    zero it out to start from the identity map), rank logits decay with
+    exponent ``RANK_DECAY``."""
     dtype = np.float32 if precision == "single" else np.float64
     rng = np.random.default_rng(cfg.seed)
     d, dh = cfg.embed_dim, cfg.d_hidden
@@ -209,7 +210,7 @@ def init_dsga_params(cfg: DsgaConfig, precision: str = "single") -> DsgaParams:
         up_w=linear(dh, (dh, d)),
         up_b=linear(dh, (d,)),
         fusion_w=linear(dh, (dh, dh)),
-        rank_logits=init_rank_weights(cfg.k_max, cfg.decay_exponent).astype(dtype),
+        rank_logits=init_rank_weights(cfg.k_max, RANK_DECAY).astype(dtype),
         theta_k=init_theta_k(cfg.k_max),
         w_p_raw=0.0,
         w_n_raw=0.0,
@@ -302,10 +303,10 @@ def _clamp_k(k: int, n: int, weights: np.ndarray) -> int:
 def _top_k_rows(key: np.ndarray, row0: int, k: int) -> np.ndarray:
     """Neighbor indices [B, R, k] of the similarity rows row0..row0+R-1 held in
     ``key`` (any float dtype, overwritten): descending value, ties by lowest
-    index, the row's own node excluded. Non-finite similarities raise.
-    Widening the key to float64 is exact and keeps its order, so the
+    index, the row's own node excluded. NaN or +inf off the diagonal raises:
+    it reaches its group's maximum (a NaN on the diagonal, or -inf, does
+    not). Widening the key to float64 is exact and keeps its order, so the
     selection is the same in the key's own dtype."""
-    check_finite(key, "similarity")
     b, r, n = key.shape
     if k == 0:
         return np.zeros((b, r, 0), dtype=np.intp)
@@ -318,6 +319,9 @@ def _top_k_rows(key: np.ndarray, row0: int, k: int) -> np.ndarray:
     whole = n - n % m
     gmax = key[..., :whole].reshape(b, r, -1, m).max(axis=2)
     np.maximum(gmax[..., : n - whole], key[..., whole:], out=gmax[..., : n - whole])
+    # the masked self entry can leave a group at -inf, so only the top is checked
+    if not gmax.max() < np.inf:
+        raise NumericalError("similarity contains non-finite values")
     bound = np.partition(gmax, m - k, axis=-1)[..., m - k, None]
     cand = key >= bound
     # fewer than k groups hold entries above L, at most (k-1)*ceil(n/m) per
@@ -372,8 +376,9 @@ def build_graph(s: np.ndarray, k: int, weights: np.ndarray) -> SimilarityGraph:
         raise ValueError(f"expected square [B, N, N] similarities, got {s.shape}")
     weights = np.asarray(weights, dtype=np.float64)
     k_eff = _clamp_k(k, s.shape[1], weights)
+    # checked whole: the selection sees neither the diagonal nor an -inf;
     # a float copy in s's own precision (integer inputs promote to float)
-    key = s.astype(np.promote_types(s.dtype, np.float32))
+    key = check_finite(s, "similarity").astype(np.promote_types(s.dtype, np.float32))
     return _rank_graph(_top_k_rows(key, 0, k_eff), weights)
 
 

@@ -22,14 +22,15 @@ class ValidationError(ValueError):
 
 @dataclass
 class BackboneProfile:
-    """Frozen-model bookkeeping used by the parameter audit."""
+    """Frozen-model bookkeeping used by the parameter audit: ``layers`` is
+    the encoder's block count, each block carrying one graph adapter and the
+    low-rank updates; the token width is ``dsga.embed_dim``."""
 
     layers: int = 12
-    embed_dim: int = 768
     params_frozen: int = 91_000_000
 
     def __post_init__(self) -> None:
-        if self.layers < 0 or self.embed_dim < 1 or self.params_frozen < 1:
+        if self.layers < 0 or self.params_frozen < 1:
             raise ValidationError(f"invalid backbone profile: {self}")
 
 
@@ -56,21 +57,9 @@ class PipelineConfig:
         if unknown:
             raise ValidationError(f"unknown config sections: {sorted(unknown)}")
         try:
-            cfg = cls(**{n: _merge(n, data.get(n, {}), getattr(base, n)) for n in names})
+            return cls(**{n: _merge(n, data.get(n, {}), getattr(base, n)) for n in names})
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-        # the adapter and the audit read the token width from different
-        # sections; a config that sets both must agree with itself
-        if (
-            "embed_dim" in data.get("dsga", {})
-            and "embed_dim" in data.get("backbone", {})
-            and cfg.dsga.embed_dim != cfg.backbone.embed_dim
-        ):
-            raise ValidationError(
-                f"dsga.embed_dim = {cfg.dsga.embed_dim} differs from "
-                f"backbone.embed_dim = {cfg.backbone.embed_dim}"
-            )
-        return cfg
 
 
 def _typed(name: str, value, default):

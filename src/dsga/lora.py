@@ -59,7 +59,6 @@ class LoraLayer:
 class LoraConfig:
     rank: int = 8
     targets: Sequence[str] = ("query", "value")
-    num_layers: int = 12
 
     def __post_init__(self) -> None:
         if self.rank < 1:
@@ -71,8 +70,6 @@ class LoraConfig:
             raise ValueError(f"unknown targets {bad}; valid: {list(VALID_TARGETS)}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate targets in {list(self.targets)}")
-        if self.num_layers < 0:
-            raise ValueError(f"num_layers must be >= 0, got {self.num_layers}")
 
 
 def init_lora_layer(
@@ -122,6 +119,8 @@ def lora_vjp(layer: LoraLayer, x: np.ndarray, upstream: np.ndarray):
     return dx.reshape(x.shape), da, db
 
 
-def lora_parameter_count(cfg: LoraConfig, d: int, k_dim: int) -> int:
+def lora_parameter_count(cfg: LoraConfig, d: int, k_dim: int, num_layers: int) -> int:
     """num_layers * |targets| * r * (d + k_dim) trainable scalars."""
-    return cfg.num_layers * len(cfg.targets) * cfg.rank * (d + k_dim)
+    if num_layers < 0:
+        raise ValueError(f"num_layers must be >= 0, got {num_layers}")
+    return num_layers * len(cfg.targets) * cfg.rank * (d + k_dim)

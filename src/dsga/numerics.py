@@ -24,7 +24,6 @@ __all__ = [
     "as_mask",
     "checked_pair",
     "as_cotangent",
-    "matmul",
     "gelu",
     "gelu_grad",
     "l2_normalize",
@@ -88,22 +87,6 @@ def as_cotangent(upstream, shape: tuple, dtype) -> np.ndarray:
         raise ValueError(f"upstream shape {upstream.shape} != output shape {shape}")
     with np.errstate(over="ignore"):  # an overflowing cast is reported below
         return check_finite(upstream.astype(dtype, copy=False), "upstream")
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched matrix product for [..., m, k] x [..., k, n].
-
-    Leading batch extents must be equal or broadcastable from 1. Raises a
-    shape-mismatch error naming both operand shapes.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    for da, db in zip(a.shape[-3::-1], b.shape[-3::-1]):
-        if da != db and da != 1 and db != 1:
-            raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

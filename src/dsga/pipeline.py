@@ -64,23 +64,21 @@ class AuditReport:
 
 
 def audit_params(cfg: PipelineConfig) -> AuditReport:
-    """Count trainable parameters for both adapters (disjoint by construction)
-    and compare against the reference totals."""
-    dsga_count = parameter_count(
-        replace(cfg.dsga, embed_dim=cfg.backbone.embed_dim), cfg.backbone.layers
-    )
-    lora_count = lora_parameter_count(
-        cfg.lora, d=cfg.backbone.embed_dim, k_dim=cfg.backbone.embed_dim
-    )
+    """Count trainable parameters for both adapters (disjoint by construction),
+    one of each in every backbone block at the adapter's token width, and
+    compare against the reference totals."""
+    width, layers = cfg.dsga.embed_dim, cfg.backbone.layers
+    dsga_count = parameter_count(cfg.dsga, layers)
+    lora_count = lora_parameter_count(cfg.lora, d=width, k_dim=width, num_layers=layers)
     total = dsga_count + lora_count
     dsga_ok = (
         abs(dsga_count / 1e6 - DSGA_REFERENCE_M) <= REFERENCE_MATCH_RTOL * DSGA_REFERENCE_M
-        if cfg.backbone.layers
+        if layers
         else True
     )
     lora_flag = (
         abs(lora_count / 1e6 - LORA_REFERENCE_M) > REFERENCE_MATCH_RTOL * LORA_REFERENCE_M
-        if cfg.backbone.layers
+        if layers
         else False
     )
     return AuditReport(

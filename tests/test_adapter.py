@@ -138,6 +138,22 @@ class TestBuildGraph:
         assert list(g.neighbors[0, 0]) == [1, 2]
         assert list(g.neighbors[0, 3]) == [0, 1]
 
+    def test_json_obj_lists_each_node(self):
+        rng = np.random.default_rng(12)
+        s = np.tanh(rng.standard_normal((2, 7, 7)))
+        g = build_graph(s, 3, rank_weights(init_rank_weights(4, 2.0)))
+        obj = g.as_json_obj()
+        assert len(obj) == 2 and all(len(nodes) == 7 for nodes in obj)
+        for b, nodes in enumerate(obj):
+            for i, node in enumerate(nodes):
+                assert node["node"] == i and node["self_weight"] == g.self_weights[b, i]
+                nbrs = node["neighbors"]
+                assert [nb["rank"] for nb in nbrs] == [0, 1, 2]
+                assert [nb["index"] for nb in nbrs] == list(g.neighbors[b, i])
+                assert [nb["weight"] for nb in nbrs] == list(g.edge_weights[b, i])
+                total = node["self_weight"] + sum(nb["weight"] for nb in nbrs)
+                assert abs(total - 1.0) <= 1e-12
+
     def test_rank_order_strict(self):
         rng = np.random.default_rng(11)
         s = np.tanh(rng.standard_normal((1, 16, 16)))
@@ -312,10 +328,23 @@ class TestTopKOracle:
         set_block_rows(monkeypatch, 2, 1, 9)
         with pytest.raises(NumericalError, match="similarity"):
             dsga_forward(x, params, cfg)
-        s = np.zeros((1, 3, 3))
-        s[0, 2, 0] = np.nan
-        with pytest.raises(NumericalError, match="similarity"):
-            build_graph(s, 1, np.ones(1))
+        # build_graph checks its matrix whole: a NaN on the diagonal and an
+        # -inf would not show in the group maxima the selection checks
+        for entry, value in [((2, 0), np.nan), ((1, 1), np.nan), ((2, 0), -np.inf),
+                             ((0, 2), np.inf)]:
+            s = np.zeros((1, 3, 3))
+            s[(0, *entry)] = value
+            for k in (0, 1):
+                with pytest.raises(NumericalError, match="similarity"):
+                    build_graph(s, k, np.ones(1))
+        # the selection itself sees NaN or +inf off the diagonal through the
+        # group maxima, whichever group holds it
+        for col in (0, 255, 256, 299):
+            for value in (np.nan, np.inf):
+                key = np.zeros((1, 4, 300), dtype=np.float32)
+                key[0, 3, col] = value
+                with pytest.raises(NumericalError, match="similarity contains non-finite"):
+                    adapter._top_k_rows(key, 0, 2)
 
     def test_no_n_by_n_buffer_in_forward_or_vjp(self, monkeypatch):
         cfg = DsgaConfig(embed_dim=8, k_max=4, dropout_prob=0.0, mode="eval", seed=66)

@@ -197,16 +197,20 @@ class TestLoraVjpPrecision:
 
 class TestLoraParameterCount:
     def test_vit_base_query_value(self):
-        cfg = LoraConfig(rank=8, targets=("query", "value"), num_layers=12)
-        assert lora_parameter_count(cfg, d=768, k_dim=768) == 294_912
+        cfg = LoraConfig(rank=8, targets=("query", "value"))
+        assert lora_parameter_count(cfg, d=768, k_dim=768, num_layers=12) == 294_912
 
     def test_single_target_rank_one(self):
-        cfg = LoraConfig(rank=1, targets=("query",), num_layers=1)
-        assert lora_parameter_count(cfg, d=4, k_dim=4) == 8
+        cfg = LoraConfig(rank=1, targets=("query",))
+        assert lora_parameter_count(cfg, d=4, k_dim=4, num_layers=1) == 8
 
     def test_zero_layers(self):
-        cfg = LoraConfig(num_layers=0)
-        assert lora_parameter_count(cfg, 768, 768) == 0
+        assert lora_parameter_count(LoraConfig(), 768, 768, 0) == 0
+
+    def test_negative_layer_count_rejected(self):
+        # as parameter_count does: a block count is never negative
+        with pytest.raises(ValueError, match="num_layers must be >= 0, got -1"):
+            lora_parameter_count(LoraConfig(), 768, 768, -1)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="targets"):
@@ -220,9 +224,9 @@ class TestLoraParameterCount:
 class TestParameterDisjointness:
     def test_combined_count_is_plain_sum(self):
         dsga_cfg = DsgaConfig(embed_dim=768, reduction_ratio=0.25, k_max=8)
-        lora_cfg = LoraConfig(rank=8, targets=("query", "value"), num_layers=12)
+        lora_cfg = LoraConfig(rank=8, targets=("query", "value"))
         dsga_n = parameter_count(dsga_cfg, 12)
-        lora_n = lora_parameter_count(lora_cfg, 768, 768)
+        lora_n = lora_parameter_count(lora_cfg, 768, 768, 12)
         assert dsga_n + lora_n == 4_287_876
 
     def test_parameter_namespaces_disjoint(self):

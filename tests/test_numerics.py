@@ -9,56 +9,9 @@ from dsga.numerics import (
     gelu,
     gelu_grad,
     l2_normalize,
-    matmul,
     sigmoid,
     softmax,
 )
-
-
-def naive_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        eye = np.eye(2)
-        b = np.array([[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(matmul(eye, b), b)
-
-    def test_hand_sum(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
-        assert np.allclose(matmul(a, b), naive_matmul(a, b), rtol=0, atol=1e-14)
-
-    def test_batch_broadcast(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((1, 2, 3))
-        b = rng.standard_normal((5, 3, 4))
-        out = matmul(a, b)
-        assert out.shape == (5, 2, 4)
-
-    def test_inner_dim_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_batch_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(np.zeros((2, 2, 3)), np.zeros((3, 3, 4)))
 
 
 class TestGelu:

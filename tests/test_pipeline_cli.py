@@ -87,7 +87,7 @@ class TestConfig:
     @pytest.mark.parametrize("data", [
         {"prompt": {"saliency_threshold": "0.05"}},
         {"prompt": {"n_max": 1024.0}},
-        {"lora": {"num_layers": True}},
+        {"backbone": {"layers": True}},
         {"backbone": {"params_frozen": "91000000"}},
         {"dsga": {"k_max": 2.5}},
         {"dsga": {"k_max": True}},
@@ -104,7 +104,7 @@ class TestConfig:
 
     def test_conflicting_embed_dims_rejected(self, tmp_path):
         data = {"dsga": {"embed_dim": 16}, "backbone": {"embed_dim": 768}}
-        with pytest.raises(ValidationError, match="dsga.embed_dim = 16.*backbone.embed_dim = 768"):
+        with pytest.raises(ValidationError, match=r"section 'backbone': \['embed_dim'\]"):
             PipelineConfig.from_dict(data)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
@@ -114,14 +114,24 @@ class TestConfig:
         (None, None), (16, None), (None, 1024), (1024, 1024),
     ])
     def test_one_embed_dim_source_accepted(self, dsga_dim, backbone_dim):
-        data = {}
-        if dsga_dim is not None:
-            data["dsga"] = {"embed_dim": dsga_dim}
-        if backbone_dim is not None:
+        # only dsga.embed_dim sets the token width: backbone.embed_dim is an
+        # unknown key, even where it agrees
+        data = {} if dsga_dim is None else {"dsga": {"embed_dim": dsga_dim}}
+        if backbone_dim is None:
+            assert PipelineConfig.from_dict(data).dsga.embed_dim == (dsga_dim or 768)
+        else:
             data["backbone"] = {"embed_dim": backbone_dim}
-        cfg = PipelineConfig.from_dict(data)
-        assert cfg.dsga.embed_dim == (dsga_dim or 768)
-        assert cfg.backbone.embed_dim == (backbone_dim or 768)
+            with pytest.raises(ValidationError, match=r"section 'backbone': \['embed_dim'\]"):
+                PipelineConfig.from_dict(data)
+
+    def test_fourteen_settable_values(self):
+        data = PipelineConfig().to_dict()
+        assert {s: list(v) for s, v in data.items()} == {
+            "dsga": ["embed_dim", "reduction_ratio", "k_max", "dropout_prob", "mode", "seed"],
+            "lora": ["rank", "targets"],
+            "prompt": ["grid_size", "saliency_threshold", "n_min", "n_max"],
+            "backbone": ["layers", "params_frozen"],
+        }
 
     def test_ints_accepted_for_floats(self):
         cfg = PipelineConfig.from_dict(
@@ -134,15 +144,19 @@ class TestConfig:
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
+# keys a config no longer has, each with the out-of-range value it once had:
+# the width lives in dsga.embed_dim, the block count in backbone.layers, and
+# the rank decay is adapter.RANK_DECAY
+REMOVED_KEYS = {"dsga.decay_exponent": 0.0, "lora.num_layers": -1, "backbone.embed_dim": 0}
+
 # one value per field that has the field's type but lies outside its range
 OUT_OF_RANGE = {
     "dsga.embed_dim": 0, "dsga.reduction_ratio": 1.5, "dsga.k_max": 0,
-    "dsga.decay_exponent": 0.0, "dsga.dropout_prob": 1.0, "dsga.mode": "predict",
-    "dsga.seed": -1,
-    "lora.rank": 0, "lora.targets": ["key"], "lora.num_layers": -1,
+    "dsga.dropout_prob": 1.0, "dsga.mode": "predict", "dsga.seed": -1,
+    "lora.rank": 0, "lora.targets": ["key"],
     "prompt.grid_size": 0, "prompt.saliency_threshold": 1.5, "prompt.n_min": 0,
     "prompt.n_max": 0,
-    "backbone.layers": -1, "backbone.embed_dim": 0, "backbone.params_frozen": 0,
+    "backbone.layers": -1, "backbone.params_frozen": 0,
     "LossHyper.focal_gamma": -1.0, "LossHyper.focal_alpha": 1.5, "LossHyper.dice_smooth": 0.0,
     "LossWeights.lam1": -1.0, "LossWeights.lam2": -1.0, "LossWeights.lam3": -1.0,
     "LossWeights.ema_beta": 1.0,
@@ -150,13 +164,17 @@ OUT_OF_RANGE = {
 
 
 def config_field_cases():
-    """Every field of every config section, each with a non-finite number, a
-    bool, a string and one out-of-range value."""
-    for section in dataclasses.fields(PipelineConfig):
-        for fld in dataclasses.fields(section.default_factory()):
-            name = f"{section.name}.{fld.name}"
-            for value in NON_FINITE + [True, "bogus", OUT_OF_RANGE[name]]:
-                yield pytest.param(section.name, fld.name, value, id=f"{name}={value}")
+    """Every field of every config section, and every removed key, each with a
+    non-finite number, a bool, a string and one out-of-range value."""
+    names = [
+        f"{section.name}.{fld.name}"
+        for section in dataclasses.fields(PipelineConfig)
+        for fld in dataclasses.fields(section.default_factory())
+    ]
+    for name, bad in [(n, OUT_OF_RANGE[n]) for n in names] + list(REMOVED_KEYS.items()):
+        section, key = name.split(".")
+        for value in NON_FINITE + [True, "bogus", bad]:
+            yield pytest.param(section, key, value, id=f"{name}={value}")
 
 
 def loss_field_cases():
@@ -180,6 +198,22 @@ class TestNonFiniteValues:
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        if f"{section}.{key}" in REMOVED_KEYS:
+            assert err == f"validation error: unknown keys in section '{section}': ['{key}']\n"
+
+    @pytest.mark.parametrize("value", [2.0, 0.0])
+    def test_removed_decay_exponent_exits_one_in_forward(self, tmp_path, capsys, value):
+        cfg = DsgaConfig(embed_dim=8, k_max=3)
+        write_params_bundle(tmp_path / "params", init_dsga_params(cfg))
+        fileio.write_tns(tmp_path / "x.tns", np.ones((1, 3, 3, 8), dtype=np.float32))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"embed_dim": 8, "k_max": 3, "decay_exponent": value}))
+        capsys.readouterr()
+        assert main(["forward", "--input", str(tmp_path / "x.tns"), "--config", str(config),
+                     "--params", str(tmp_path / "params"), "--output", str(tmp_path / "y.tns")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "y.tns").exists()
+        assert captured.err == "validation error: unknown keys in section 'dsga': ['decay_exponent']\n"
 
     @pytest.mark.parametrize("cls, key, value", loss_field_cases())
     def test_loss_field_rejected(self, cls, key, value):
@@ -289,11 +323,24 @@ class TestAudit:
     def test_zero_layer_profile(self):
         data = PipelineConfig().to_dict()
         data["backbone"]["layers"] = 0
-        data["lora"]["num_layers"] = 0
         report = audit_params(PipelineConfig.from_dict(data))
         assert report.dsga_params == 0
         assert report.lora_params == 0
         assert report.total_trainable == 0
+
+    def test_width_and_depth_reach_both_adapters(self, tmp_path, capsys):
+        # ViT-Large: 24 blocks of 1024-wide tokens, each with one graph adapter
+        # (1024*256*2 + 256 + 1024 + 256^2 + 8 + 3 = 591,115 per block) and
+        # rank-8 updates on W_q and W_v (2 * 8 * 2048 = 32,768 per block)
+        cfg = tmp_path / "large.json"
+        cfg.write_text(json.dumps({"dsga": {"embed_dim": 1024}, "backbone": {"layers": 24}}))
+        capsys.readouterr()
+        assert main(["audit", "params", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["dsga_params"] == 14_186_760 == 24 * 591_115
+        assert report["lora_params"] == 786_432 == 24 * 32_768
+        assert report["total_trainable"] == 14_186_760 + 786_432
+        assert not report["dsga_matches_reference"] and report["lora_reference_discrepancy"]
 
 
 class TestGradcheckHarness:
