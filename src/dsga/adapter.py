@@ -25,6 +25,12 @@ more, each row keeps those and its k lowest-index entries equal to L.
 Neighbors are ordered by descending similarity, ties by lowest index, which
 is exactly a stable sort of the full row.
 
+One private runner computes the forward and returns, beside the output and
+the graph, its pullback: a closure over the forward's intermediates that
+maps a cotangent on the output to the cotangents of x and every parameter.
+dsga_forward drops the pullback; dsga_vjp reruns the forward on x and
+applies its pullback to the upstream.
+
 Precision: every stage from the down-projection to the up-projection (Z, S,
 propagation, fusion, both pools, the gated residual, dropout) runs in the
 dtype of the down-projection's output, so float32 input with float32 params
@@ -539,50 +545,120 @@ def dropout_mask(n: int, prob: float, seed: int, stream: int = 0) -> np.ndarray:
     return np.where(u >= prob, 1.0 / (1.0 - prob), 0.0)
 
 
-def _forward_trace(x, params: DsgaParams, cfg: DsgaConfig):
+def _run(x, params: DsgaParams, cfg: DsgaConfig):
+    """The adapter forward: (out, graph, pullback). ``pullback(upstream)``
+    takes a cotangent on ``out`` in the working dtype and returns (dx, grads);
+    it closes over the forward's intermediates, which live as long as it does."""
     x = np.asarray(x)
     if x.ndim != 4:
         raise ValueError(f"expected [B, H, W, D], got shape {x.shape}")
     b, h, w, d = x.shape
     if d != cfg.embed_dim:
         raise ValueError(f"input channel dim {d} != configured embed_dim {cfg.embed_dim}")
+    if b == 0:
+        raise ValueError("empty batch: B = 0")
     if h == 0 or w == 0:
         raise ValueError(f"empty token grid: H = {h}, W = {w}")
-    n = h * w
+    n, dh = h * w, cfg.d_hidden
     check_finite(x, "input")
 
-    t = {"x": x, "shape": (b, h, w, d), "n": n}
     # a strided x is copied by the reshape; the copy lives only for this product
-    pre = matmul(x.reshape(b, n, d), params.down_w) + params.down_b
-    t["pre"] = check_finite(pre, "down-projection")
-    t["z"] = gelu(t["pre"])
-    k = adaptive_k(params.theta_k, cfg.k_max)
-    t["w_rank"] = rank_weights(params.rank_logits)
-    t["graph"] = _streamed_graph(t["z"], k, t["w_rank"])
-    t["g"] = propagate(t["graph"], t["z"])
-    t["f"] = check_finite(matmul(t["g"], params.fusion_w), "fusion")
-    fr = t["f"].reshape(b, h, w, cfg.d_hidden)
-    t["fr"] = fr
-    t["mx"], t["av"], t["argmax"] = _dual_pool_trace(fr)
-    t["pooled"] = hybrid_pool(t["mx"], t["av"], params.w_p_raw)
-    t["zp"] = gated_residual(fr, t["pooled"], params.w_n_raw)
+    pre = check_finite(matmul(x.reshape(b, n, d), params.down_w) + params.down_b, "down-projection")
+    z = gelu(pre)
+    w_rank = rank_weights(params.rank_logits)
+    graph = _streamed_graph(z, adaptive_k(params.theta_k, cfg.k_max), w_rank)
+    g = propagate(graph, z)
+    fr = check_finite(matmul(g, params.fusion_w), "fusion").reshape(b, h, w, dh)
+    mx, av, argmax = _dual_pool_trace(fr)
+    pooled = hybrid_pool(mx, av, params.w_p_raw)
+    zp = gated_residual(fr, pooled, params.w_n_raw)
 
-    flat = t["zp"].reshape(b, n, cfg.d_hidden)
+    dropped = zp.reshape(b, n, dh)
+    scale = None
     if cfg.mode == "train" and cfg.dropout_prob > 0.0:
-        scale = dropout_mask(flat.size, cfg.dropout_prob, cfg.seed).reshape(flat.shape)
-    else:
-        scale = None
-    t["drop_scale"] = scale
-    # the float64 scale would widen the hidden path; 1/(1-p) rounds once to its dtype
-    t["dropped"] = flat if scale is None else flat * scale.astype(flat.dtype, copy=False)
+        scale = dropout_mask(dropped.size, cfg.dropout_prob, cfg.seed).reshape(dropped.shape)
+        # the float64 scale would widen the hidden path; 1/(1-p) rounds once to its dtype
+        dropped = dropped * scale.astype(dropped.dtype, copy=False)
     # bias and residual are added in place: no further [B, N, D] temporaries
-    delta = matmul(t["dropped"], params.up_w)
+    delta = matmul(dropped, params.up_w)
     delta += params.up_b
     # params of the other precision set the hidden dtype; the residual sum stays in x's
     out = delta.reshape(b, h, w, d).astype(x.dtype, copy=False)
     out += x
-    t["out"] = check_finite(out, "up-projection")
-    return t
+    check_finite(out, "up-projection")
+
+    def pullback(upstream):
+        dt = upstream.dtype
+        uf = upstream.reshape(b * n, d)
+
+        # up-projection; weight gradients are GEMMs over the flattened [B*N, .] rows
+        d_up_w = dropped.reshape(b * n, dh).T @ uf
+        d_up_b = uf.sum(axis=0)
+        d_zp = matmul(uf, params.up_w.T).reshape(b, h, w, dh)
+        if scale is not None:
+            d_zp *= scale.reshape(d_zp.shape).astype(dt, copy=False)
+
+        # gated residual
+        g_n = 0.5 * sigmoid(params.w_n_raw)
+        d_fr = (1.0 - g_n) * d_zp
+        d_pooled = g_n * d_zp
+        d_w_n = float(np.sum((pooled - fr) * d_zp)) * 0.5 * sigmoid_grad(params.w_n_raw)
+
+        # hybrid pooling
+        sp = sigmoid(params.w_p_raw)
+        d_mx = sp * d_pooled
+        d_av = (1.0 - sp) * d_pooled
+        d_w_p = float(np.sum((mx - av) * d_pooled)) * sigmoid_grad(params.w_p_raw)
+
+        # dual pooling (argmax fixed)
+        d_fr += _dual_pool_vjp(d_mx, d_av, argmax)
+        d_f = d_fr.reshape(b * n, dh)
+
+        # fusion
+        d_fusion_w = g.reshape(b * n, dh).T @ d_f
+        d_g = matmul(d_f, params.fusion_w.T).reshape(b, n, dh)
+
+        # graph propagation: out_i = A_ii z_i + sum_r w_r/s * z_nbr; the graph's
+        # float64 weights are cast at use, as propagate casts them
+        d_z = graph.self_weights.astype(dt, copy=False)[..., None] * d_g
+        d_w_rank = np.zeros_like(w_rank)
+        if graph.k > 0:
+            # scatter the cotangent back to neighbor features: d_z += E^T d_g
+            d_z += (_edge_matrix(graph, dt).T @ d_g.reshape(b * n, dh)).reshape(b, n, dh)
+            # cotangent on the normalized adjacency values, one rank at a time
+            zw = z.astype(d_g.dtype, copy=False)
+            bi = np.arange(b)[:, None]
+            d_edge = np.empty((b, n, graph.k))
+            for r in range(graph.k):
+                d_edge[..., r] = np.einsum("bnh,bnh->bn", zw[bi, graph.neighbors[..., r]], d_g)
+            d_self = np.einsum("bnh,bnh->bn", zw, d_g)
+            # A_edge[r] = w_r / s and A_self = 1 / s with s = 1 + sum(w[:k])
+            row_sum = 1.0 + float(w_rank[: graph.k].sum())
+            d_row_sum = -(
+                float(np.sum(d_edge * graph.edge_weights))
+                + float(np.sum(d_self * graph.self_weights))
+            ) / row_sum
+            d_w_rank[: graph.k] = d_edge.sum(axis=(0, 1)) / row_sum + d_row_sum
+        d_rank_logits = softmax_vjp(w_rank, d_w_rank).astype(dt, copy=False)
+
+        # activation and down-projection; gelu_grad evaluates in float64
+        d_pre = (d_z * gelu_grad(pre).astype(dt, copy=False)).reshape(b * n, dh)
+        xf = x.reshape(b * n, d).astype(d_pre.dtype, copy=False)
+        dx = matmul(d_pre, params.down_w.T).reshape(b, h, w, d)
+        dx += upstream  # the residual; the caller's upstream is never written
+        return dx, DsgaParams(
+            down_w=xf.T @ d_pre,
+            down_b=d_pre.sum(axis=0),
+            up_w=d_up_w,
+            up_b=d_up_b,
+            fusion_w=d_fusion_w,
+            rank_logits=d_rank_logits,
+            theta_k=0.0,
+            w_p_raw=d_w_p,
+            w_n_raw=d_w_n,
+        )
+
+    return out, graph, pullback
 
 
 def dsga_forward(x, params: DsgaParams, cfg: DsgaConfig):
@@ -591,8 +667,7 @@ def dsga_forward(x, params: DsgaParams, cfg: DsgaConfig):
     Output shape equals input shape; with a zero up-projection the map is
     the identity bit-for-bit in eval mode.
     """
-    t = _forward_trace(x, params, cfg)
-    return t["out"], t["graph"]
+    return _run(x, params, cfg)[:2]
 
 
 def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
@@ -601,100 +676,20 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     The cotangents come back in the forward's working dtype, the hidden dtype
     result_type(x, down_w, down_b): float32 input with float32 params gives
     float32 cotangents, float64 gives float64. The upstream is cast to that
-    dtype once; a non-finite upstream, or one that overflows in the cast,
-    raises NumericalError. The rank-weight softmax VJP runs in float64 and
-    its cotangent is cast at the end.
+    dtype once, before any forward work; a non-finite upstream, or one that
+    overflows in the cast, raises NumericalError. The rank-weight softmax VJP
+    runs in float64 and its cotangent is cast at the end.
 
-    In train mode the recomputed trace draws the forward's dropout mask (a
-    pure function of size, probability and seed). theta_k sits behind the
-    floor in adaptive_k and therefore gets zero gradient; graph structure is
-    held fixed (top-k membership does not differentiate).
+    The forward is rerun on x and its pullback applied to the upstream; in
+    train mode the rerun draws the same dropout mask (a pure function of
+    size, probability and seed). theta_k sits behind the floor in adaptive_k
+    and therefore gets zero gradient; graph structure is held fixed (top-k
+    membership does not differentiate).
     """
     x = np.asarray(x)
     dt = np.result_type(x, params.down_w, params.down_b)
     upstream = as_cotangent(upstream, x.shape, dt)
-    t = _forward_trace(x, params, cfg)
-    b, h, w, d = t["shape"]
-    n = t["n"]
-    dh = cfg.d_hidden
-    graph: SimilarityGraph = t["graph"]
-
-    uf = upstream.reshape(b * n, d)
-
-    # up-projection; weight gradients are GEMMs over the flattened [B*N, .] rows
-    d_up_w = t["dropped"].reshape(b * n, dh).T @ uf
-    d_up_b = uf.sum(axis=0)
-    d_zp = matmul(uf, params.up_w.T).reshape(b, h, w, dh)
-    if t["drop_scale"] is not None:
-        d_zp *= t["drop_scale"].reshape(d_zp.shape).astype(dt, copy=False)
-
-    # gated residual
-    g = 0.5 * sigmoid(params.w_n_raw)
-    d_fr = (1.0 - g) * d_zp
-    d_pooled = g * d_zp
-    d_w_n = float(np.sum((t["pooled"] - t["fr"]) * d_zp)) * 0.5 * sigmoid_grad(
-        params.w_n_raw
-    )
-
-    # hybrid pooling
-    sp = sigmoid(params.w_p_raw)
-    d_mx = sp * d_pooled
-    d_av = (1.0 - sp) * d_pooled
-    d_w_p = float(np.sum((t["mx"] - t["av"]) * d_pooled)) * sigmoid_grad(params.w_p_raw)
-
-    # dual pooling (argmax fixed)
-    d_fr += _dual_pool_vjp(d_mx, d_av, t["argmax"])
-    d_f = d_fr.reshape(b * n, dh)
-
-    # fusion
-    d_fusion_w = t["g"].reshape(b * n, dh).T @ d_f
-    d_g = matmul(d_f, params.fusion_w.T).reshape(b, n, dh)
-
-    # graph propagation: out_i = A_ii z_i + sum_r w_r/s * z_nbr; the graph's
-    # float64 weights are cast at use, as propagate casts them
-    d_z = graph.self_weights.astype(dt, copy=False)[..., None] * d_g
-    d_w_used = np.zeros(graph.k)
-    d_row_sum = 0.0
-    row_sum = 1.0 + float(t["w_rank"][: graph.k].sum()) if graph.k > 0 else 1.0
-    if graph.k > 0:
-        # scatter the cotangent back to neighbor features: d_z += E^T d_g
-        d_z += (_edge_matrix(graph, dt).T @ d_g.reshape(b * n, dh)).reshape(b, n, dh)
-        # cotangent on the normalized adjacency values, one rank at a time
-        z = t["z"].astype(d_g.dtype, copy=False)
-        bi = np.arange(b)[:, None]
-        d_edge = np.empty((b, n, graph.k))
-        for r in range(graph.k):
-            d_edge[..., r] = np.einsum("bnh,bnh->bn", z[bi, graph.neighbors[..., r]], d_g)
-        d_self = np.einsum("bnh,bnh->bn", z, d_g)
-        # A_edge[r] = w_r / s and A_self = 1 / s with s = 1 + sum(w[:k])
-        d_w_used = d_edge.sum(axis=(0, 1)) / row_sum
-        d_row_sum = -(
-            float(np.sum(d_edge * graph.edge_weights)) + float(np.sum(d_self * graph.self_weights))
-        ) / row_sum
-    d_w_rank = np.zeros_like(t["w_rank"])
-    d_w_rank[: graph.k] = d_w_used + d_row_sum
-    d_rank_logits = softmax_vjp(t["w_rank"], d_w_rank).astype(dt, copy=False)
-
-    # activation and down-projection; gelu_grad evaluates in float64
-    d_pre = (d_z * gelu_grad(t["pre"]).astype(dt, copy=False)).reshape(b * n, dh)
-    xf = t["x"].reshape(b * n, d).astype(d_pre.dtype, copy=False)
-    d_down_w = xf.T @ d_pre
-    d_down_b = d_pre.sum(axis=0)
-    dx = matmul(d_pre, params.down_w.T).reshape(b, h, w, d)
-    dx += upstream  # the residual; the caller's upstream is never written
-
-    grads = DsgaParams(
-        down_w=d_down_w,
-        down_b=d_down_b,
-        up_w=d_up_w,
-        up_b=d_up_b,
-        fusion_w=d_fusion_w,
-        rank_logits=d_rank_logits,
-        theta_k=0.0,
-        w_p_raw=d_w_p,
-        w_n_raw=d_w_n,
-    )
-    return dx, grads
+    return _run(x, params, cfg)[2](upstream)
 
 
 def parameter_count(cfg: DsgaConfig, num_layers: int) -> int:

@@ -158,11 +158,11 @@ def _incidence(masks: list[np.ndarray], size: int):
     """Masks x pixels 0/1 matrix in CSR form (the flat foreground indices of
     each mask), and each mask's foreground count. Indices and values are
     int32 whenever the counts fit, which halves the memory."""
-    counts = np.array([np.count_nonzero(m) for m in masks], dtype=np.int64)
+    cols = [np.flatnonzero(m) for m in masks]
+    counts = np.array([c.size for c in cols], dtype=np.int64)
     index = np.int32 if max(size, int(counts.sum())) < 2**31 else np.int64
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(index)
-    cols = [np.flatnonzero(m).astype(index) for m in masks]
-    indices = np.concatenate(cols) if cols else np.zeros(0, dtype=index)
+    indices = np.concatenate(cols, dtype=index) if cols else np.zeros(0, dtype=index)
     data = np.ones(indices.size, dtype=index)
     return csr_array((data, indices, indptr), shape=(len(masks), size)), counts
 

@@ -790,6 +790,15 @@ class TestDsgaForward:
         with pytest.raises(ValueError, match="empty token grid"):
             dsga_vjp(np.zeros(shape), params, cfg, np.zeros(shape))
 
+    @pytest.mark.parametrize("shape", [(0, 3, 3, 8), (0, 1, 1, 8), (0, 0, 3, 8)])
+    def test_empty_batch_rejected(self, shape):
+        cfg = DsgaConfig(embed_dim=8)
+        params = init_dsga_params(cfg)
+        with pytest.raises(ValueError, match="^empty batch: B = 0$"):
+            dsga_forward(np.zeros(shape, np.float32), params, cfg)
+        with pytest.raises(ValueError, match="^empty batch: B = 0$"):
+            dsga_vjp(np.zeros(shape), params, cfg, np.zeros(shape))
+
 
 class TestDropoutMask:
     def test_zero_prob_identity(self):
@@ -936,11 +945,45 @@ def gathered_propagate(graph, z):
     return out
 
 
+def forward_trace(x, params, cfg):
+    """The forward's intermediates by name, built from the adapter's stage
+    functions; its output must be the bytes of dsga_forward's."""
+    x = np.asarray(x)
+    b, h, w, d = x.shape
+    n, dh = h * w, cfg.d_hidden
+    t = {"x": x, "shape": x.shape, "n": n}
+    t["pre"] = adapter.matmul(x.reshape(b, n, d), params.down_w) + params.down_b
+    t["z"] = adapter.gelu(t["pre"])
+    t["w_rank"] = adapter.rank_weights(params.rank_logits)
+    t["graph"] = adapter._streamed_graph(
+        t["z"], adaptive_k(params.theta_k, cfg.k_max), t["w_rank"]
+    )
+    t["g"] = adapter.propagate(t["graph"], t["z"])
+    t["f"] = adapter.matmul(t["g"], params.fusion_w)
+    t["fr"] = t["f"].reshape(b, h, w, dh)
+    t["mx"], t["av"], t["argmax"] = adapter._dual_pool_trace(t["fr"])
+    t["pooled"] = adapter.hybrid_pool(t["mx"], t["av"], params.w_p_raw)
+    t["zp"] = adapter.gated_residual(t["fr"], t["pooled"], params.w_n_raw)
+    flat = t["zp"].reshape(b, n, dh)
+    t["drop_scale"] = None
+    t["dropped"] = flat
+    if cfg.mode == "train" and cfg.dropout_prob > 0.0:
+        t["drop_scale"] = adapter.dropout_mask(flat.size, cfg.dropout_prob, cfg.seed).reshape(
+            flat.shape
+        )
+        t["dropped"] = flat * t["drop_scale"].astype(flat.dtype)
+    delta = adapter.matmul(t["dropped"], params.up_w) + params.up_b
+    t["out"] = delta.reshape(x.shape).astype(x.dtype) + x
+    out, _ = dsga_forward(x, params, cfg)
+    assert t["out"].dtype == out.dtype and t["out"].tobytes() == out.tobytes()
+    return t
+
+
 def reference_vjp(x, params, cfg, upstream):
     """dsga_vjp's backward with einsum weight gradients, a [B, N, k, Dh]
     gather and np.add.at scatters, on the same forward trace."""
     upstream = np.asarray(upstream, dtype=np.float64)
-    t = adapter._forward_trace(x, params, cfg)
+    t = forward_trace(x, params, cfg)
     b, h, w, d = t["shape"]
     n, dh, graph = t["n"], cfg.d_hidden, t["graph"]
     dx = upstream.copy()
@@ -948,6 +991,8 @@ def reference_vjp(x, params, cfg, upstream):
     d_up_w = np.einsum("bnh,bnd->hd", t["dropped"], uf)
     d_up_b = uf.sum(axis=(0, 1))
     d_zp = (uf @ params.up_w.T).reshape(b, h, w, dh)
+    if t["drop_scale"] is not None:
+        d_zp *= t["drop_scale"].reshape(d_zp.shape)
     g = 0.5 * adapter.sigmoid(params.w_n_raw)
     d_fr = (1.0 - g) * d_zp
     d_pooled = g * d_zp
@@ -1002,7 +1047,7 @@ def vjp_before(x, params, cfg, upstream):
     np.where terms. Its float64 output is the bit-exact oracle of the
     working-precision backward."""
     upstream = np.asarray(upstream, dtype=np.float64)
-    t = adapter._forward_trace(x, params, cfg)
+    t = forward_trace(x, params, cfg)
     b, h, w, d = t["shape"]
     n, dh, graph = t["n"], cfg.d_hidden, t["graph"]
     dx = upstream.copy()
@@ -1010,6 +1055,8 @@ def vjp_before(x, params, cfg, upstream):
     d_up_w = t["dropped"].reshape(b * n, dh).T @ uf
     d_up_b = uf.sum(axis=0)
     d_zp = (uf @ params.up_w.T).reshape(b, h, w, dh)
+    if t["drop_scale"] is not None:
+        d_zp *= t["drop_scale"].reshape(d_zp.shape)
     g = 0.5 * adapter.sigmoid(params.w_n_raw)
     d_fr = (1.0 - g) * d_zp
     d_pooled = g * d_zp
@@ -1137,20 +1184,53 @@ class TestForwardPieceOracle:
 class TestPrecision:
     STAGES = ("pre", "z", "g", "f", "fr", "mx", "av", "pooled", "zp", "dropped", "out")
 
+    @staticmethod
+    def record_stages(monkeypatch):
+        """The arrays that the forward's stage calls take and return, by stage
+        name, recorded by wrapping the adapter's module-level stage functions."""
+        seen = {}
+
+        def record(name, args, result):
+            if name == "check_finite":
+                seen[{"input": "x", "down-projection": "pre", "fusion": "f",
+                      "up-projection": "out"}[args[1]]] = result
+            elif name == "matmul":  # the last product is the up-projection
+                seen["dropped"] = args[0]
+            elif name == "_dual_pool_trace":
+                seen["fr"] = args[0]
+                seen["mx"], seen["av"], _ = result
+            else:
+                seen[{"gelu": "z", "propagate": "g", "hybrid_pool": "pooled",
+                      "gated_residual": "zp"}[name]] = result
+
+        for name in ("matmul", "gelu", "propagate", "check_finite", "_dual_pool_trace",
+                     "hybrid_pool", "gated_residual"):
+            def stage(*args, _name=name, _fn=getattr(adapter, name)):
+                result = _fn(*args)
+                record(_name, args, result)
+                return result
+
+            monkeypatch.setattr(adapter, name, stage)
+        return seen
+
     @pytest.mark.parametrize("precision, dtype", [("single", np.float32), ("double", np.float64)])
     @pytest.mark.parametrize("mode, prob", [("eval", 0.0), ("train", 0.3)])
-    def test_every_stage_in_the_working_dtype(self, precision, dtype, mode, prob):
+    def test_every_stage_in_the_working_dtype(self, precision, dtype, mode, prob, monkeypatch):
         cfg = DsgaConfig(embed_dim=16, k_max=4, dropout_prob=prob, mode=mode, seed=76)
         params = init_dsga_params(cfg, precision=precision)
         x = np.random.default_rng(76).standard_normal((2, 5, 6, 16)).astype(dtype)
-        t = adapter._forward_trace(x, params, cfg)
-        assert {name: t[name].dtype for name in self.STAGES} == dict.fromkeys(
+        seen = self.record_stages(monkeypatch)
+        out, graph = dsga_forward(x, params, cfg)
+        assert seen["out"] is out
+        assert {name: seen[name].dtype for name in self.STAGES} == dict.fromkeys(
             self.STAGES, np.dtype(dtype)
         )
-        assert (mode == "eval") == (t["drop_scale"] is None)
-        assert mode == "eval" or np.any(t["dropped"] == 0)
+        # eval sends the gated residual itself to the up-projection
+        dropped, zp = seen["dropped"], seen["zp"]
+        assert (mode == "eval") == np.shares_memory(dropped, zp)
+        assert mode == "eval" or np.any(dropped == 0)
         # the graph's weights stay float64 for the rank-weight softmax VJP
-        assert t["graph"].edge_weights.dtype == t["graph"].self_weights.dtype == np.float64
+        assert graph.edge_weights.dtype == graph.self_weights.dtype == np.float64
 
     def test_single_forward_holds_no_float64_token_array(self):
         # a float64 [B, N, D] array at 64x64x768 is 25 MB; the single-precision
@@ -1168,15 +1248,39 @@ class TestPrecision:
         assert out.dtype == np.float32
         assert peak <= 60e6, peak / 1e6
 
+    def test_single_vjp_holds_no_forward_output(self):
+        # the VJP keeps what its backward reads, not the forward's 3 MB output:
+        # at 32x32x768 with a float64 upstream it peaks at about 22.3 MB, and
+        # 25.5 MB while it also held the output
+        cfg = DsgaConfig(embed_dim=768, k_max=8, dropout_prob=0.0, mode="eval", seed=80)
+        params = init_dsga_params(cfg)
+        rng = np.random.default_rng(80)
+        x = rng.standard_normal((1, 32, 32, 768)).astype(np.float32)
+        upstream = rng.standard_normal(x.shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dx, _ = dsga_vjp(x, params, cfg, upstream)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert dx.dtype == np.float32
+        assert peak < 24e6, peak / 1e6
+
 
 def oracle_cases():
     """(x, params, cfg, upstream) on every grid shape, float32 and float64
-    alternating, with k from 1 to k_max (often >= N - 1) and tied tokens."""
+    alternating, with k from 1 to k_max (often >= N - 1) and tied tokens:
+    each shape in eval mode, then in train mode with dropout at p = 0.1 (even
+    shapes) or 0.3 (odd shapes)."""
     rng = np.random.default_rng(73)
-    for (b, h, w), dtype in [(s, dt) for s in GRID_SHAPES for dt in (np.float32, np.float64)]:
+    cases = [(s, dt) for s in GRID_SHAPES for dt in (np.float32, np.float64)]
+    modes = [("eval", 0.0)] * len(cases) + [("train", (0.1, 0.3)[i // 2 % 2])
+                                            for i in range(len(cases))]
+    for ((b, h, w), dtype), (mode, prob) in zip(cases + cases, modes):
         d = int(rng.choice([8, 12]))
         cfg = DsgaConfig(embed_dim=d, reduction_ratio=float(rng.choice([0.25, 0.5])),
-                         k_max=int(rng.integers(1, 9)), dropout_prob=0.0, mode="eval",
+                         k_max=int(rng.integers(1, 9)), dropout_prob=prob, mode=mode,
                          seed=int(rng.integers(0, 2**31)))
         params = init_dsga_params(cfg, precision="single" if dtype == np.float32 else "double")
         params.theta_k = float(rng.uniform(-3.0, 6.0))
@@ -1259,7 +1363,7 @@ class TestVjpOracle:
         # cancel to far below its terms (on the benchmark's fields down to
         # 1/18000 of them); its float32 error scales with the terms (measured
         # at about 2e-9 of their magnitude sum), so the bound does too
-        t = adapter._forward_trace(x, params, cfg)
+        t = forward_trace(x, params, cfg)
         abs_d_zp = np.abs(upstream.reshape(-1, 768) @ params.up_w.T.astype(np.float64))
         g = 0.5 * adapter.sigmoid(params.w_n_raw)
         terms = {

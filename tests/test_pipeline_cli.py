@@ -797,6 +797,20 @@ class TestCli:
         assert "empty token grid" in capsys.readouterr().err
         assert not (tmp_path / "y.tns").exists()
 
+    def test_forward_on_empty_batch_exits_one(self, tmp_path, capsys):
+        cfg = DsgaConfig(embed_dim=8, k_max=3, dropout_prob=0.0, mode="eval", seed=9)
+        write_params_bundle(tmp_path / "params", init_dsga_params(cfg))
+        (tmp_path / "cfg.json").write_text('{"embed_dim": 8, "k_max": 3}')
+        fileio.write_tns(tmp_path / "x.tns", np.zeros((0, 3, 3, 8), np.float32))
+        code = main([
+            "forward", "--input", str(tmp_path / "x.tns"),
+            "--params", str(tmp_path / "params"), "--config", str(tmp_path / "cfg.json"),
+            "--output", str(tmp_path / "y.tns"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "validation error: empty batch: B = 0\n"
+        assert not (tmp_path / "y.tns").exists()
+
     def test_gradcheck_failure_exits_three(self, tmp_path, monkeypatch):
         from dsga import cli
         from dsga.pipeline import GradcheckResult
