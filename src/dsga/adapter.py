@@ -28,8 +28,16 @@ is exactly a stable sort of the full row.
 One private runner computes the forward and returns, beside the output and
 the graph, its pullback: a closure over the forward's intermediates that
 maps a cotangent on the output to the cotangents of x and every parameter.
-dsga_forward drops the pullback; dsga_vjp reruns the forward on x and
-applies its pullback to the upstream.
+dsga_forward holds the pullback for the calling thread while its output
+lives (a weakref finalizer on the output drops it), so a training step's
+dsga_vjp on the same input applies it instead of rerunning the forward. The
+VJP reuses it only when its key matches bit for bit: the down-projection,
+which it recomputes, copies of the other parameter arrays, the gates, the
+config and the input shape; the pullback reads x and the parameters from
+the VJP's own arguments. Anything else reruns the forward, so the result
+is the same bytes either way. One forward is held per thread, and the next
+dsga_forward or dsga_vjp on that thread drops it first; dsga_vjp uses it
+at most once.
 
 Precision: every stage from the down-projection to the up-projection (Z, S,
 propagation, fusion, both pools, the gated residual, dropout) runs in the
@@ -50,7 +58,11 @@ forward pass: they receive zero gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+import threading
+import weakref
+from dataclasses import astuple, dataclass, replace
+from typing import Callable
 
 import numpy as np
 from numpy import matmul  # bound here so a tracer can wrap adapter.matmul
@@ -63,6 +75,7 @@ from .numerics import (
     gelu,
     gelu_grad,
     l2_normalize,
+    same_bits,
     sigmoid,
     sigmoid_grad,
     softmax,
@@ -72,6 +85,7 @@ from .numerics import (
 __all__ = [
     "DsgaConfig",
     "DsgaParams",
+    "check_params",
     "SimilarityGraph",
     "similarity_matrix",
     "init_rank_weights",
@@ -169,6 +183,36 @@ class DsgaParams:
             "fusion_w": self.fusion_w,
             "rank_logits": self.rank_logits,
         }
+
+
+def check_params(params: DsgaParams, cfg: DsgaConfig) -> None:
+    """Raise ValueError unless ``params`` fits ``cfg``: down_w [D, Dh],
+    down_b [Dh], up_w [Dh, D], up_b [D], fusion_w [Dh, Dh] and rank_logits
+    [k_max] are numpy arrays of one floating dtype, and the three gates are
+    finite real numbers. O(1): no array element is read."""
+    d, dh = cfg.embed_dim, cfg.d_hidden
+    shapes = {"down_w": (d, dh), "down_b": (dh,), "up_w": (dh, d), "up_b": (d,),
+              "fusion_w": (dh, dh), "rank_logits": (cfg.k_max,)}
+    arrays = params.named_arrays()
+    for name, value in arrays.items():
+        if not isinstance(value, np.ndarray):
+            raise ValueError(f"{name} must be a numpy array, got {type(value).__name__}")
+        if value.shape != shapes[name]:
+            raise ValueError(f"{name} must have shape {list(shapes[name])}, got {list(value.shape)}")
+        if not np.issubdtype(value.dtype, np.floating):
+            raise ValueError(f"{name} must be floating point, got {value.dtype}")
+    dtypes = [value.dtype for value in arrays.values()]
+    common = max(dtypes, key=dtypes.count)
+    for name, value in arrays.items():
+        if value.dtype != common:
+            raise ValueError(f"{name} is {value.dtype} but most parameter arrays are {common}: "
+                             "they share one dtype")
+    for name in ("theta_k", "w_p_raw", "w_n_raw"):
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def init_rank_weights(k_max: int, p: float) -> np.ndarray:
@@ -545,11 +589,9 @@ def dropout_mask(n: int, prob: float, seed: int, stream: int = 0) -> np.ndarray:
     return np.where(u >= prob, 1.0 / (1.0 - prob), 0.0)
 
 
-def _run(x, params: DsgaParams, cfg: DsgaConfig):
-    """The adapter forward: (out, graph, pullback). ``pullback(upstream)``
-    takes a cotangent on ``out`` in the working dtype and returns (dx, grads);
-    it closes over the forward's intermediates, which live as long as it does."""
-    x = np.asarray(x)
+def _down(x: np.ndarray, params: DsgaParams, cfg: DsgaConfig) -> np.ndarray:
+    """Check x against cfg and params, then the down-projection
+    pre = flatten(x) @ down_w + down_b as [B, N, D_hidden]."""
     if x.ndim != 4:
         raise ValueError(f"expected [B, H, W, D], got shape {x.shape}")
     b, h, w, d = x.shape
@@ -559,11 +601,23 @@ def _run(x, params: DsgaParams, cfg: DsgaConfig):
         raise ValueError("empty batch: B = 0")
     if h == 0 or w == 0:
         raise ValueError(f"empty token grid: H = {h}, W = {w}")
-    n, dh = h * w, cfg.d_hidden
+    check_params(params, cfg)
     check_finite(x, "input")
-
     # a strided x is copied by the reshape; the copy lives only for this product
-    pre = check_finite(matmul(x.reshape(b, n, d), params.down_w) + params.down_b, "down-projection")
+    pre = matmul(x.reshape(b, h * w, d), params.down_w) + params.down_b
+    return check_finite(pre, "down-projection")
+
+
+def _run(x: np.ndarray, params: DsgaParams, cfg: DsgaConfig, pre: np.ndarray):
+    """The adapter forward from its down-projection ``pre``: (out, graph,
+    pullback). ``pullback(upstream, x, params)`` takes a cotangent on ``out``
+    in the working dtype and returns (dx, grads). It closes over the
+    forward's intermediates, which live as long as it does, and reads x and
+    the parameters only from its own arguments: what it closes over is a
+    function of pre, fusion_w, rank_logits, the gates, cfg and x's shape,
+    which dsga_vjp compares before it reuses a held pullback."""
+    b, h, w, d = x.shape
+    n, dh = h * w, cfg.d_hidden
     z = gelu(pre)
     w_rank = rank_weights(params.rank_logits)
     graph = _streamed_graph(z, adaptive_k(params.theta_k, cfg.k_max), w_rank)
@@ -587,7 +641,7 @@ def _run(x, params: DsgaParams, cfg: DsgaConfig):
     out += x
     check_finite(out, "up-projection")
 
-    def pullback(upstream):
+    def pullback(upstream, x, params):
         dt = upstream.dtype
         uf = upstream.reshape(b * n, d)
 
@@ -661,13 +715,69 @@ def _run(x, params: DsgaParams, cfg: DsgaConfig):
     return out, graph, pullback
 
 
+class _ThreadHeld(threading.local):
+    """The calling thread's last dsga_forward, kept for dsga_vjp while that
+    forward's output lives: [] or [_Held]. A list, so that the finalizer of
+    the output, which can run on any thread, empties this thread's entry."""
+
+    def __init__(self):
+        self.held = []
+
+
+_thread = _ThreadHeld()
+# the parameter arrays the reuse key holds copies of (down_w and down_b enter
+# it through pre)
+_KEY_ARRAYS = ("up_w", "up_b", "fusion_w", "rank_logits")
+
+
+@dataclass
+class _Held:
+    """A forward's pullback and the key its reuse is checked against."""
+
+    pullback: Callable
+    pre: np.ndarray
+    scalars: tuple  # from _key_scalars
+    arrays: dict  # copies of the _KEY_ARRAYS
+    finalizer: weakref.finalize
+
+
+def _key_scalars(x: np.ndarray, params: DsgaParams, cfg: DsgaConfig) -> tuple:
+    """x's shape, every config field and the three gates, compared by value
+    (a gate of -0 and one of +0 give the same forward)."""
+    return x.shape, astuple(cfg), params.theta_k, params.w_p_raw, params.w_n_raw
+
+
+def _take_held():
+    """Remove the calling thread's held forward and return it (None if
+    there is none); its output's finalizer no longer touches the slot."""
+    try:
+        held = _thread.held.pop()
+    except IndexError:  # none held, or its output has just been dropped
+        return None
+    held.finalizer.detach()
+    return held
+
+
 def dsga_forward(x, params: DsgaParams, cfg: DsgaConfig):
     """Residual adapter forward pass; returns (output, similarity graph).
 
     Output shape equals input shape; with a zero up-projection the map is
-    the identity bit-for-bit in eval mode.
+    the identity bit-for-bit in eval mode. The forward's pullback is held
+    for dsga_vjp on this thread until the output is dropped, the thread
+    calls dsga_forward or dsga_vjp again, or dsga_vjp uses it; the graph
+    returned is the caller's own copy.
     """
-    return _run(x, params, cfg)[:2]
+    _take_held()  # the last forward's state is freed before this one's is made
+    x = np.asarray(x)
+    pre = _down(x, params, cfg)
+    out, graph, pullback = _run(x, params, cfg, pre)
+    held = _thread.held
+    arrays = {name: getattr(params, name).copy() for name in _KEY_ARRAYS}
+    finalizer = weakref.finalize(out, held.clear)
+    held.append(_Held(pullback, pre, _key_scalars(x, params, cfg), arrays, finalizer))
+    return out, replace(graph, neighbors=graph.neighbors.copy(),
+                        edge_weights=graph.edge_weights.copy(),
+                        self_weights=graph.self_weights.copy())
 
 
 def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
@@ -680,16 +790,30 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     overflows in the cast, raises NumericalError. The rank-weight softmax VJP
     runs in float64 and its cotangent is cast at the end.
 
-    The forward is rerun on x and its pullback applied to the upstream; in
-    train mode the rerun draws the same dropout mask (a pure function of
-    size, probability and seed). theta_k sits behind the floor in adaptive_k
-    and therefore gets zero gradient; graph structure is held fixed (top-k
-    membership does not differentiate).
+    The pullback of this thread's last dsga_forward is applied to the
+    upstream when that forward's output is still alive and the key matches
+    bit for bit: the down-projection, recomputed here from x, down_w and
+    down_b; up_w, up_b, fusion_w and rank_logits against copies taken at the
+    forward; the gates, every config field and x's shape by value. The held
+    forward is used once. Otherwise the forward is rerun on x; in train mode
+    the rerun draws the same dropout mask (a pure function of size,
+    probability and seed). Either way the result is the same bytes. theta_k
+    sits behind the floor in adaptive_k and therefore gets zero gradient;
+    graph structure is held fixed (top-k membership does not differentiate).
     """
+    held = _take_held()
     x = np.asarray(x)
     dt = np.result_type(x, params.down_w, params.down_b)
     upstream = as_cotangent(upstream, x.shape, dt)
-    return _run(x, params, cfg)[2](upstream)
+    pre = _down(x, params, cfg)
+    if (held is not None and held.scalars == _key_scalars(x, params, cfg)
+            and all(same_bits(getattr(params, k), v) for k, v in held.arrays.items())
+            and same_bits(pre, held.pre)):
+        pullback = held.pullback
+    else:
+        held = None  # freed before the rerun allocates
+        pullback = _run(x, params, cfg, pre)[2]
+    return pullback(upstream, x, params)
 
 
 def parameter_count(cfg: DsgaConfig, num_layers: int) -> int:

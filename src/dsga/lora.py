@@ -94,7 +94,14 @@ def lora_apply(layer: LoraLayer, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"input last dim {x.shape} incompatible with base {layer.w0.shape}")
     base = x @ layer.w0.T
     delta = (x @ layer.a.T) @ layer.b.T
-    return base + layer.scaling * delta
+    # scaled, then added into base, in place: each buffer is widened first
+    # where the float scaling (of an integer product) or the wider factors
+    # set a wider dtype, so the bytes are those of base + scaling * delta
+    delta = delta.astype(np.result_type(delta, layer.scaling), copy=False)
+    delta *= layer.scaling
+    base = base.astype(np.result_type(base, delta), copy=False)
+    base += delta
+    return base
 
 
 def lora_vjp(layer: LoraLayer, x: np.ndarray, upstream: np.ndarray):

@@ -6,6 +6,13 @@ The boundary loss is the prediction-weighted mean of the signed Euclidean
 distance to the ground-truth boundary (negative inside the foreground), so
 it rewards probability mass deep inside the object.
 
+combined_loss and loss_grads take that distance map from a one-entry memo
+per thread, keyed on the mask's exact bytes: a training step that calls both
+on one GT runs one distance transform. The memo keeps its own copy of the
+mask, so a different mask, or the same array changed in place, misses and
+recomputes; it holds the last map until the thread asks for another mask.
+signed_distance itself stays a pure function and runs only on a miss.
+
 EMA weighting: the state advances un-normalized as
 lambda_t = beta * lambda_{t-1} + (1 - beta) * c_t (this is what the
 closed-form geometric recurrence describes); the weights actually applied
@@ -19,12 +26,13 @@ available behind ``mode="raw"``.
 from __future__ import annotations
 
 import numbers
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .numerics import NumericalError, as_mask, as_unit_map, checked_pair
+from .numerics import NumericalError, as_mask, as_unit_map, checked_pair, same_bits
 
 __all__ = [
     "LossHyper",
@@ -133,6 +141,21 @@ def signed_distance(gt: np.ndarray) -> DistanceMap:
     return DistanceMap(phi=phi.astype(np.float64), degenerate=False)
 
 
+# the calling thread's last (mask, distance map) of _distance
+_last_distance = threading.local()
+
+
+def _distance(gt: np.ndarray) -> DistanceMap:
+    """signed_distance of the bool mask ``gt``, through the calling thread's
+    one-entry memo keyed on the mask's exact bytes."""
+    last = getattr(_last_distance, "entry", None)
+    if last is not None and same_bits(last[0], gt):
+        return last[1]
+    dist = signed_distance(gt)
+    _last_distance.entry = (gt.copy(), dist)
+    return dist
+
+
 def boundary_loss(pred, dist: DistanceMap) -> float:
     """Mean over pixels of phi * p; negative when mass sits inside the object."""
     pred = as_unit_map(pred, "prediction")
@@ -148,7 +171,7 @@ def combined_loss(pred, gt, weights: LossWeights, hyper: LossHyper | None = None
     components = {
         "focal": focal_loss(pred, gt, hyper.focal_gamma, hyper.focal_alpha),
         "dice": dice_loss(pred, gt, hyper.dice_smooth),
-        "boundary": boundary_loss(pred, signed_distance(gt)),
+        "boundary": boundary_loss(pred, _distance(as_mask(gt, "gt"))),
     }
     total = (
         weights.lam1 * components["focal"]
@@ -244,6 +267,6 @@ def loss_grads(pred, gt, weights: LossWeights, hyper: LossHyper | None = None):
     den = float(np.sum(pred)) + float(np.sum(g)) + hyper.dice_smooth
     d_dice = (num - 2.0 * g * den) / (den * den)
 
-    d_boundary = signed_distance(gtb).phi / n
+    d_boundary = _distance(gtb).phi / n
 
     return weights.lam1 * d_focal + weights.lam2 * d_dice + weights.lam3 * d_boundary

@@ -24,6 +24,7 @@ __all__ = [
     "as_mask",
     "checked_pair",
     "as_cotangent",
+    "same_bits",
     "gelu",
     "gelu_grad",
     "l2_normalize",
@@ -87,6 +88,16 @@ def as_cotangent(upstream, shape: tuple, dtype) -> np.ndarray:
         raise ValueError(f"upstream shape {upstream.shape} != output shape {shape}")
     with np.errstate(over="ignore"):  # an overflowing cast is reported below
         return check_finite(upstream.astype(dtype, copy=False), "upstream")
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays have the same dtype, shape and bytes: unlike ==,
+    a NaN matches its own bit pattern and -0 does not match +0. The memos
+    that reuse a result for an equal input use it as their key test."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    a, b = (np.ascontiguousarray(v).reshape(-1).view(np.uint8) for v in (a, b))
+    return np.array_equal(a, b)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

@@ -347,7 +347,8 @@ def read_params_bundle(bundle_dir) -> DsgaParams:
         if not path.exists():
             raise fileio.FileFormatError(f"params bundle is missing {fname}")
         arr = fileio.read_tns(path)
-        loaded[attr] = float(arr.reshape(())) if attr in _GATES else arr
+        # a gate file holds a 0-d array; any other shape reaches check_params
+        loaded[attr] = float(arr) if attr in _GATES and arr.ndim == 0 else arr
     return DsgaParams(**loaded)
 
 

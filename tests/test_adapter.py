@@ -1,6 +1,10 @@
+import importlib.util
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1442,6 +1446,197 @@ class TestVjpOracle:
         }
         assert adaptive_k(-50.0, 8) == 1 and adaptive_k(50.0, 8) == 8
         assert total[50.0] - total[-50.0] < hidden
+
+
+def benchmark_train_cases(seed=5):
+    """(x, params, cfg, upstream) of the three inputs of the benchmark's
+    adapter_train workload at ``seed``, made by its own generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bench = workloads.AdapterTrain()
+    bench.setup(seed, None)
+    for x, _, _, upstream, _ in bench.inputs:
+        yield x, bench.params, bench.cfg, upstream
+
+
+def count_selections(monkeypatch):
+    """A list that gains the calling thread's id at every _top_k_rows call
+    (one per row block of the streamed graph)."""
+    calls = []
+
+    def counted(*args, _fn=adapter._top_k_rows):
+        calls.append(threading.get_ident())
+        return _fn(*args)
+
+    monkeypatch.setattr(adapter, "_top_k_rows", counted)
+    return calls
+
+
+def vjp_outcome(x, params, cfg, upstream):
+    """Every cotangent's dtype, shape and bytes by name, or the ValueError
+    that dsga_vjp raised."""
+    try:
+        got = vjp_arrays(*dsga_vjp(x, params, cfg, upstream))
+    except ValueError as exc:
+        return repr(exc)
+    return {k: (v.dtype, v.shape, v.tobytes()) for k, v in got.items()}
+
+
+def reuse_case(seed=81):
+    """A small train-mode case with dropout, float64, with tied tokens."""
+    cfg = DsgaConfig(embed_dim=8, k_max=4, dropout_prob=0.2, mode="train", seed=seed)
+    params = init_dsga_params(cfg, precision="double")
+    rng = np.random.default_rng(seed)
+    params.w_p_raw, params.w_n_raw = (float(v) for v in rng.standard_normal(2))
+    x = tied_tokens(rng, 1, 12, 8).reshape(1, 3, 4, 8)
+    return x, params, cfg, rng.standard_normal(x.shape)
+
+
+GRAPH_ARRAYS = ("neighbors", "edge_weights", "self_weights")
+CONFIG_CHANGES = {"embed_dim": 12, "reduction_ratio": 0.5, "k_max": 3, "dropout_prob": 0.4,
+                  "mode": "eval", "seed": 82}
+# x and down_w changed where the other is zero, so the down-projection, and
+# with it every value the held pullback closes over, stays the same; in
+# place, or in a new array passed to the VJP
+UNREAD_X, UNREAD_W = "x past a zero row of down_w", "down_w past a zero channel of x"
+NEW_X, NEW_W = "new " + UNREAD_X, "new " + UNREAD_W
+UNREAD = (UNREAD_X, UNREAD_W, NEW_X, NEW_W)
+
+
+def mutate(item, x, params, cfg, out, graph):
+    """Change ``item`` in place: x, a params array, a gate, a config field,
+    the returned output or one of the returned graph's arrays; or, for NEW_X
+    and NEW_W, make the changed copy. Returns the (x, params) for the VJP."""
+    if item in (NEW_X, NEW_W):
+        x, params = x.copy(), replace(params, down_w=params.down_w.copy())
+        item = item.removeprefix("new ")
+    if item in ("x", UNREAD_X):
+        x[0, 1, 2, 3] += 0.5
+    elif item == UNREAD_W:
+        params.down_w[3, 0] += 0.5
+    elif item in params.named_arrays():
+        getattr(params, item).flat[0] += 0.5
+    elif item == "theta_k":
+        params.theta_k = -5.0  # k from 3 to 1
+    elif item in ("w_p_raw", "w_n_raw"):
+        setattr(params, item, getattr(params, item) + 1.0)
+    elif item in CONFIG_CHANGES:
+        setattr(cfg, item, CONFIG_CHANGES[item])
+    elif item == "out":
+        out[...] = 0.0
+    else:
+        getattr(graph, item)[...] = 0
+    return x, params
+
+
+class TestForwardReuse:
+    def test_reused_vjp_bytes_equal_a_lone_vjp(self, monkeypatch):
+        calls = count_selections(monkeypatch)
+        for x, params, cfg, upstream in [*oracle_cases(), *benchmark_train_cases()]:
+            lone = vjp_outcome(x, params, cfg, upstream)
+            out, _ = dsga_forward(x, params, cfg)
+            calls.clear()
+            assert vjp_outcome(x, params, cfg, upstream) == lone
+            assert calls == []  # the held pullback was applied
+
+    @pytest.mark.parametrize("item", [
+        "x", "down_w", "down_b", "up_w", "up_b", "fusion_w", "rank_logits",
+        "theta_k", "w_p_raw", "w_n_raw", *CONFIG_CHANGES, "out", *GRAPH_ARRAYS, *UNREAD,
+    ])
+    def test_mutation_between_the_calls(self, item, monkeypatch):
+        # each case is the bytes of a fresh VJP on the mutated inputs; the
+        # caller's output and graph are not what the held pullback reads, and
+        # it takes x and down_w from the VJP's arguments
+        x, params, cfg, upstream = reuse_case()
+        if item in (UNREAD_X, NEW_X):
+            params.down_w[3] = 0.0
+        elif item in (UNREAD_W, NEW_W):
+            x[..., 3] = 0.0
+        before = vjp_outcome(x, params, cfg, upstream)
+        out, graph = dsga_forward(x, params, cfg)
+        x, params = mutate(item, x, params, cfg, out, graph)
+        calls = count_selections(monkeypatch)
+        got = vjp_outcome(x, params, cfg, upstream)
+        reused = not calls
+        assert got == vjp_outcome(x, params, cfg, upstream)  # no forward held now
+        caller_side = item == "out" or item in GRAPH_ARRAYS
+        if isinstance(got, str):  # a config that no longer fits x or params
+            assert item in ("embed_dim", "reduction_ratio", "k_max"), got
+        else:
+            assert reused == (caller_side or item in UNREAD)
+        # every other mutation changes the cotangents, except up_b's: it
+        # reaches only the output
+        assert (got == before) == (caller_side or item == "up_b")
+
+    def test_one_selection_per_step_while_the_output_lives(self, monkeypatch):
+        x, params, cfg, upstream = reuse_case()
+        calls = count_selections(monkeypatch)
+        out, _ = dsga_forward(x, params, cfg)
+        first = vjp_outcome(x, params, cfg, upstream)
+        assert len(calls) == 1
+        # the held forward is used once
+        assert vjp_outcome(x, params, cfg, upstream) == first and len(calls) == 2
+        out, _ = dsga_forward(x, params, cfg)
+        del out
+        assert vjp_outcome(x, params, cfg, upstream) == first and len(calls) == 4
+
+    def test_threads_interleaving_forward_and_vjp(self, monkeypatch):
+        # more threads than cores, a short switch interval, and every thread
+        # holding a forward before any of them runs its VJP
+        cases = [reuse_case(seed) for seed in range(90, 94)]
+        serial = [vjp_outcome(*case) for case in cases]
+        rounds = 3
+        calls = count_selections(monkeypatch)
+        barrier = threading.Barrier(len(cases), timeout=30)
+        results = {i: [] for i in range(len(cases))}
+        errors = []
+
+        def steps(i):
+            x, params, cfg, upstream = cases[i]
+            try:
+                for _ in range(rounds):
+                    out, _ = dsga_forward(x, params, cfg)
+                    barrier.wait()
+                    results[i].append(vjp_outcome(x, params, cfg, upstream))
+                    barrier.wait()
+            except Exception as exc:  # reported below, on the test's thread
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=steps, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert [results[i] for i in range(len(cases))] == [[r] * rounds for r in serial]
+        # one selection per forward on each thread: every VJP reused its own
+        assert sorted(calls.count(t.ident) for t in threads) == [rounds] * len(cases)
+
+    def test_dropping_the_output_frees_the_held_forward(self):
+        cfg = DsgaConfig(embed_dim=768, k_max=8, dropout_prob=0.0, mode="eval", seed=83)
+        params = init_dsga_params(cfg)
+        x = np.random.default_rng(83).standard_normal((1, 32, 32, 768)).astype(np.float32)
+        dsga_forward(x, params, cfg)  # first-call allocations happen outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = dsga_forward(x, params, cfg)[0]
+            held = tracemalloc.get_traced_memory()[0] - base
+            del out
+            after = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # the output (3 MB) and the intermediates its pullback reads (7 MB)
+        assert held > 2 * x.nbytes, held
+        assert after < 16e3, after
 
 
 class TestParameterCount:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,39 @@ class TestLoraApply:
         layer = random_layer(rng)
         with pytest.raises(ValueError, match="incompatible"):
             lora_apply(layer, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("x_dt, w0_dt, factor_dt", [
+        (np.float32, np.float32, np.float32), (np.float64, np.float64, np.float64),
+        (np.float32, np.float32, np.float64), (np.float64, np.float32, np.float32),
+        (np.int64, np.int64, np.int64),
+    ])
+    def test_bytes_of_the_out_of_place_sum(self, x_dt, w0_dt, factor_dt):
+        # the product is scaled in place and added into base's buffer, each
+        # widened first where needed (float64 factors, or the float scaling
+        # of an integer product)
+        rng = np.random.default_rng(6)
+        layer = LoraLayer(w0=(3 * rng.standard_normal((7, 5))).astype(w0_dt),
+                          a=(3 * rng.standard_normal((2, 5))).astype(factor_dt),
+                          b=(3 * rng.standard_normal((7, 2))).astype(factor_dt), rank=2, alpha=3.0)
+        x = (3 * rng.standard_normal((4, 5))).astype(x_dt)
+        out = lora_apply(layer, x)
+        ref = x @ layer.w0.T + layer.scaling * ((x @ layer.a.T) @ layer.b.T)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+    def test_two_token_sized_arrays_at_peak(self):
+        # base and the product; scaling the product out of place held a third
+        rng = np.random.default_rng(7)
+        layer = init_lora_layer(rng.standard_normal((768, 768)).astype(np.float32), rank=8)
+        layer.b[...] = 0.01
+        x = rng.standard_normal((1024, 768)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lora_apply(layer, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.nbytes, peak / x.nbytes
 
 
 class TestLoraVjp:

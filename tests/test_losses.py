@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from dsga import losses
 from dsga.losses import (
     ContributionState,
     DistanceMap,
@@ -294,6 +296,68 @@ class TestLossGrads:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             loss_grads(np.zeros((2, 2)), np.zeros((3, 3), bool), LossWeights())
+
+
+def count_distance_calls(monkeypatch):
+    """Empty the calling thread's distance memo; the returned list gains one
+    entry per signed_distance call."""
+    monkeypatch.setattr(losses, "_last_distance", threading.local())
+    calls = []
+
+    def counted(gt, _fn=losses.signed_distance):
+        calls.append(1)
+        return _fn(gt)
+
+    monkeypatch.setattr(losses, "signed_distance", counted)
+    return calls
+
+
+def unmemoized(monkeypatch, fn, *args):
+    """``fn(*args)`` with each distance map computed afresh."""
+    with monkeypatch.context() as m:
+        m.setattr(losses, "_distance", signed_distance)
+        return fn(*args)
+
+
+def loss_step_bytes(pred, gt, weights):
+    """combined_loss then loss_grads, as a training step calls them, as bytes."""
+    total, components = combined_loss(pred, gt, weights)
+    return np.float64(total).tobytes(), components, loss_grads(pred, gt, weights).tobytes()
+
+
+class TestDistanceMemo:
+    def test_one_distance_transform_per_step(self, monkeypatch):
+        calls = count_distance_calls(monkeypatch)
+        rng = np.random.default_rng(30)
+        pred, gt = rng.uniform(0.05, 0.95, (9, 7)), rng.random((9, 7)) < 0.4
+        loss_step_bytes(pred, gt, LossWeights())
+        assert len(calls) == 1
+
+    def test_other_mask_or_in_place_change_recomputes(self, monkeypatch):
+        calls = count_distance_calls(monkeypatch)
+        rng = np.random.default_rng(31)
+        pred, gt = rng.uniform(0.05, 0.95, (8, 8)), rng.random((8, 8)) < 0.5
+        weights = LossWeights(0.0, 0.0, 1.0)
+        for step, change in enumerate([None, "other", "in place"], start=1):
+            if change == "other":
+                gt = ~gt
+            elif change == "in place":
+                gt[3, 4] = not gt[3, 4]
+            assert loss_grads(pred, gt, weights).tobytes() == (signed_distance(gt).phi / 64).tobytes()
+            # the repeat is a hit; signed_distance above was called directly
+            loss_grads(pred, gt, weights)
+            assert len(calls) == step
+
+    def test_step_bytes_equal_the_unmemoized_losses(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        weights = LossWeights(1.3, 0.7, 2.0)
+        masks = [rng.random((10, 12)) < p for p in (0.2, 0.5, 0.8)]
+        masks += [np.zeros((10, 12), bool), np.ones((10, 12), bool)]
+        masks.append(masks[1].astype(np.uint8))  # a 0/1 mask that is not bool
+        for gt in masks + masks[::-1]:
+            pred = rng.uniform(0.0, 1.0, gt.shape)
+            got = loss_step_bytes(pred, gt, weights)
+            assert got == unmemoized(monkeypatch, loss_step_bytes, pred, gt, weights)
 
 
 class TestDistanceMapType:

@@ -404,6 +404,14 @@ class TestGradcheckHarness:
             gradcheck_all(seed=0, instances=0)
 
 
+def bad_bundle_cases():
+    """(bundle file, DsgaParams field, kind of fault) for every bundle file."""
+    for fname, field in pipeline._BUNDLE_NAMES.items():
+        gate = field in pipeline._GATES
+        for kind in ("rank", "length") + (() if gate else ("dtype",)):
+            yield fname, field, kind
+
+
 class TestParamsBundle:
     def test_round_trip_preserves_dtypes(self, tmp_path):
         cfg = DsgaConfig(embed_dim=8, k_max=3, seed=5)
@@ -426,6 +434,31 @@ class TestParamsBundle:
         (tmp_path / "b" / "theta_k").unlink()
         with pytest.raises(fileio.FileFormatError, match="theta_k"):
             read_params_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("fname, field, kind", bad_bundle_cases())
+    def test_bad_bundle_file_exits_one_naming_its_field(self, tmp_path, capsys, fname, field, kind):
+        # one float32 bundle for an 8-wide input, k_max = 4, with one file
+        # replaced: an extra leading axis, one more entry on the last axis, or
+        # float64 (the gates are read as Python floats, so no dtype case)
+        cfg = DsgaConfig(embed_dim=8, k_max=4, seed=6)
+        write_params_bundle(tmp_path / "params", init_dsga_params(cfg))
+        path = tmp_path / "params" / fname
+        value = fileio.read_tns(path)
+        if kind == "rank":
+            value = value[None]
+        elif kind == "length":
+            value = np.concatenate([value.reshape(value.shape or (1,))] * 2, axis=-1)
+        else:
+            value = value.astype(np.float64)
+        fileio.write_tns(path, value)
+        fileio.write_tns(tmp_path / "x.tns", np.ones((1, 3, 3, 8), dtype=np.float32))
+        fileio.write_json(tmp_path / "cfg.json", {"embed_dim": 8, "k_max": 4})
+        capsys.readouterr()
+        assert main(["forward", "--input", str(tmp_path / "x.tns"), "--config", str(tmp_path / "cfg.json"),
+                     "--params", str(tmp_path / "params"), "--output", str(tmp_path / "y.tns")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "y.tns").exists()
+        assert captured.err.startswith(f"validation error: {field} ") and captured.err.count("\n") == 1
 
 
 def three_blob_fixture(tmp_path):
