@@ -589,9 +589,10 @@ def dropout_mask(n: int, prob: float, seed: int, stream: int = 0) -> np.ndarray:
     return np.where(u >= prob, 1.0 / (1.0 - prob), 0.0)
 
 
-def _down(x: np.ndarray, params: DsgaParams, cfg: DsgaConfig) -> np.ndarray:
-    """Check x against cfg and params, then the down-projection
-    pre = flatten(x) @ down_w + down_b as [B, N, D_hidden]."""
+def _checked(x, params: DsgaParams, cfg: DsgaConfig) -> np.ndarray:
+    """x as a non-empty, finite [B, H, W, embed_dim] array; params are
+    checked against cfg too (check_params)."""
+    x = np.asarray(x)
     if x.ndim != 4:
         raise ValueError(f"expected [B, H, W, D], got shape {x.shape}")
     b, h, w, d = x.shape
@@ -602,7 +603,12 @@ def _down(x: np.ndarray, params: DsgaParams, cfg: DsgaConfig) -> np.ndarray:
     if h == 0 or w == 0:
         raise ValueError(f"empty token grid: H = {h}, W = {w}")
     check_params(params, cfg)
-    check_finite(x, "input")
+    return check_finite(x, "input")
+
+
+def _down(x: np.ndarray, params: DsgaParams) -> np.ndarray:
+    """The down-projection pre = flatten(x) @ down_w + down_b, [B, N, D_hidden]."""
+    b, h, w, d = x.shape
     # a strided x is copied by the reshape; the copy lives only for this product
     pre = matmul(x.reshape(b, h * w, d), params.down_w) + params.down_b
     return check_finite(pre, "down-projection")
@@ -768,8 +774,8 @@ def dsga_forward(x, params: DsgaParams, cfg: DsgaConfig):
     returned is the caller's own copy.
     """
     _take_held()  # the last forward's state is freed before this one's is made
-    x = np.asarray(x)
-    pre = _down(x, params, cfg)
+    x = _checked(x, params, cfg)
+    pre = _down(x, params)
     out, graph, pullback = _run(x, params, cfg, pre)
     held = _thread.held
     arrays = {name: getattr(params, name).copy() for name in _KEY_ARRAYS}
@@ -802,10 +808,10 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     graph structure is held fixed (top-k membership does not differentiate).
     """
     held = _take_held()
-    x = np.asarray(x)
+    x = _checked(x, params, cfg)
     dt = np.result_type(x, params.down_w, params.down_b)
     upstream = as_cotangent(upstream, x.shape, dt)
-    pre = _down(x, params, cfg)
+    pre = _down(x, params)
     if (held is not None and held.scalars == _key_scalars(x, params, cfg)
             and all(same_bits(getattr(params, k), v) for k, v in held.arrays.items())
             and same_bits(pre, held.pre)):

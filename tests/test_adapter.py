@@ -803,6 +803,30 @@ class TestDsgaForward:
         with pytest.raises(ValueError, match="^empty batch: B = 0$"):
             dsga_vjp(np.zeros(shape), params, cfg, np.zeros(shape))
 
+    @pytest.mark.parametrize("field, value", [
+        ("down_w", lambda p: p.down_w.tolist()),
+        ("down_b", lambda p: p.down_b[:1]),
+        ("up_w", lambda p: p.up_w[None]),
+        ("fusion_w", lambda p: p.fusion_w.astype(np.float64)),
+        ("rank_logits", lambda p: p.rank_logits.astype(np.int64)),
+        ("theta_k", lambda p: np.array(p.theta_k)),
+        ("w_p_raw", lambda p: float("nan")),
+        ("w_n_raw", lambda p: True),
+    ])
+    def test_params_that_do_not_fit_rejected(self, field, value):
+        # both calls refuse the bundle with a message that names the field,
+        # before any forward work
+        cfg = DsgaConfig(embed_dim=8, k_max=3)
+        params = init_dsga_params(cfg)
+        bad = replace(params, **{field: value(params)})
+        x = np.ones((1, 2, 2, 8), np.float32)
+        with pytest.raises(ValueError, match=f"^{field} "):
+            adapter.check_params(bad, cfg)
+        with pytest.raises(ValueError, match=f"^{field} "):
+            dsga_forward(x, bad, cfg)
+        with pytest.raises(ValueError, match=f"^{field} "):
+            dsga_vjp(x, bad, cfg, np.ones(x.shape))
+
 
 class TestDropoutMask:
     def test_zero_prob_identity(self):
