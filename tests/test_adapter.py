@@ -814,8 +814,7 @@ class TestDsgaForward:
         ("w_n_raw", lambda p: True),
     ])
     def test_params_that_do_not_fit_rejected(self, field, value):
-        # both calls refuse the bundle with a message that names the field,
-        # before any forward work
+        # both calls refuse the bundle with a message that starts with the field
         cfg = DsgaConfig(embed_dim=8, k_max=3)
         params = init_dsga_params(cfg)
         bad = replace(params, **{field: value(params)})
