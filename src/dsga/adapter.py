@@ -14,16 +14,17 @@ reshaped to [B, H, W, D_hidden]):
     out = unflatten(dropout(Z') @ up + b_up) + x
 
 S is only a selection key: the edge weights depend on rank alone, so the
-forward pass never holds S whole. It computes S one block of rows at a time
-(about ``_BLOCK_ELEMS`` entries, so O(rows * N) memory rather than O(N^2)),
-keeps each row's k largest entries, and drops the block. The columns fall
-into ``_GROUPS`` groups by index modulo; the k-th largest group maximum L is
-a lower bound on the k-th largest entry, so only the entries at or above it
-are sorted. Fewer than k groups hold entries above L, so a row has at most
-(k - 1) * ceil(N / groups) of them; when ties at L (flat regions) admit
-more, each row keeps those and its k lowest-index entries equal to L.
-Neighbors are ordered by descending similarity, ties by lowest index, which
-is exactly a stable sort of the full row.
+forward pass never holds S whole. It computes the cosine products one block
+of rows at a time (about ``_BLOCK_ELEMS`` entries, so O(rows * N) memory
+rather than O(N^2)), keeps each row's k largest keys, and drops the block.
+The columns fall into ``_GROUPS`` groups by index modulo, and the block is
+read once for its group maxima: tanh is monotone, so their keys give the
+k-th largest group key L, a lower bound on the k-th largest key, and only
+groups keyed at or above L are keyed and sorted (the whole block when ties
+at L span most groups). Fewer than k groups hold keys above L, at most
+(k - 1) * ceil(N / groups) per row; when ties at L (flat regions) admit
+more, each row keeps those and its k lowest-index keys equal to L. Neighbors
+are in descending similarity, ties by lowest index: a stable sort of the row.
 
 One private runner computes the forward and returns, beside the output and
 the graph, its pullback: a closure over the forward's intermediates that
@@ -110,6 +111,8 @@ _BLOCK_ELEMS = 2**21
 # Column groups of the top-k candidate bound (at least k + 1, at most N): more
 # groups give a tighter bound, fewer give a cheaper group-maximum pass.
 _GROUPS = 256
+# Candidate groups are gathered while under 1/_GATHER_SHARE of a block's columns.
+_GATHER_SHARE = 4
 # Exponent p of the polynomial-decay rank logits that init_dsga_params draws.
 RANK_DECAY = 2.0
 
@@ -326,9 +329,8 @@ class SimilarityGraph:
         return out
 
 
-def _similarity(zh_rows: np.ndarray, zh: np.ndarray, scale: float) -> np.ndarray:
-    """tanh(scale * <zh_i, zh_j>) for the given rows i against every row j."""
-    s = matmul(zh_rows, zh.transpose(0, 2, 1))
+def _tanh_key(s: np.ndarray, scale: float) -> np.ndarray:
+    """The similarity tanh(scale * s) of the cosine products ``s``, in place."""
     s *= scale
     return np.tanh(s, out=s)
 
@@ -340,7 +342,9 @@ def similarity_matrix(z: np.ndarray) -> np.ndarray:
     if z.ndim != 3:
         raise ValueError(f"expected [B, N, D_hidden], got shape {z.shape}")
     zh = l2_normalize(z, axis=-1)
-    return _similarity(zh, zh, 1.0 / math.sqrt(z.shape[-1]))
+    # a contiguous transpose: zh @ zh.T itself goes to SYRK, about twice as slow
+    zt = np.ascontiguousarray(zh.transpose(0, 2, 1))
+    return _tanh_key(matmul(zh, zt), 1.0 / math.sqrt(z.shape[-1]))
 
 
 def _clamp_k(k: int, n: int, weights: np.ndarray) -> int:
@@ -350,46 +354,75 @@ def _clamp_k(k: int, n: int, weights: np.ndarray) -> int:
     return k_eff
 
 
-def _top_k_rows(key: np.ndarray, row0: int, k: int) -> np.ndarray:
-    """Neighbor indices [B, R, k] of the similarity rows row0..row0+R-1 held in
-    ``key`` (any float dtype, overwritten): descending value, ties by lowest
-    index, the row's own node excluded. NaN or +inf off the diagonal raises:
-    it reaches its group's maximum (a NaN on the diagonal, or -inf, does
-    not). Widening the key to float64 is exact and keeps its order, so the
-    selection is the same in the key's own dtype."""
-    b, r, n = key.shape
+def _top_k_rows(s: np.ndarray, row0: int, k: int, key=None) -> np.ndarray:
+    """Neighbor indices [B, R, k] of the rows row0..row0+R-1 of ``s`` (any float
+    dtype, overwritten) by key(s), or s when key is None: descending key, ties
+    by lowest index, the row's own node excluded. ``key`` maps in place,
+    elementwise and non-decreasing, so it commutes with a maximum. NaN or +inf
+    in s off the diagonal raises: it reaches its group's maximum (a NaN on
+    the diagonal, or -inf, does not). Widening the key to float64 is exact
+    and keeps its order, so the selection is the same in the key's dtype."""
+    b, r, n = s.shape
     if k == 0:
         return np.zeros((b, r, 0), dtype=np.intp)
+    key = key or (lambda v: v)
     local = np.arange(r)
-    key[:, local, row0 + local] = -np.inf
-    # column j is in group j % m, and k < m; the k-th largest group maximum L
-    # is at most the k-th largest value (k distinct entries reach it), so
-    # every entry of the top k or tied with its last one is at least L
+    s[:, local, row0 + local] = -np.inf
+    # column j is in group j % m, and k < m; the k-th largest group key L is
+    # at most the k-th largest key (k distinct entries reach it), so every
+    # entry of the top k or tied with its last one is in a group keyed >= L
     m = min(n, max(_GROUPS, k + 1))
     whole = n - n % m
-    gmax = key[..., :whole].reshape(b, r, -1, m).max(axis=2)
-    np.maximum(gmax[..., : n - whole], key[..., whole:], out=gmax[..., : n - whole])
+    c = -(-n // m)  # columns per group, at most
+    gkey = s[..., :whole].reshape(b, r, -1, m).max(axis=2)
+    np.maximum(gkey[..., : n - whole], s[..., whole:], out=gkey[..., : n - whole])
     # the masked self entry can leave a group at -inf, so only the top is checked
-    if not gmax.max() < np.inf:
+    if not gkey.max() < np.inf:
         raise NumericalError("similarity contains non-finite values")
-    bound = np.partition(gmax, m - k, axis=-1)[..., m - k, None]
-    cand = key >= bound
+    # key(-inf) is at most every other key, so such a group still ranks last
+    bound = np.partition(key(gkey), m - k, axis=-1)[..., m - k, None]
+    groups = gkey >= bound
     # fewer than k groups hold entries above L, at most (k-1)*ceil(n/m) per
     # row; with ties at L making more, keep those and each row's first k ties
-    if np.count_nonzero(cand) > b * r * (k + (k - 1) * -(-n // m)):
-        ties = cand
-        cand = key > bound
-        ties ^= cand  # the entries equal to L
-        each_row = np.arange(b)[:, None], local
-        for _ in range(k):  # argmax stops at each row's first remaining tie
-            first = (*each_row, ties.argmax(axis=-1))
-            cand[first] |= ties[first]
-            ties[first] = False
-    # flat indices ascend, so a stable sort by (row, -value) orders each row
+    cap = b * r * (k + (k - 1) * c)
+    if np.count_nonzero(groups) * c * _GATHER_SHARE < b * r * n:
+        # the columns t*m + g of each (row, group g) keyed >= L, keyed alone;
+        # the candidates' keys are written back over their similarities
+        rows = s.reshape(b * r, n)
+        p = np.flatnonzero(groups)
+        row, g = p // m, p % m
+        vals = np.empty((p.size, c), dtype=s.dtype)
+        vals[:, : whole // m] = rows[:, :whole].reshape(b * r, -1, m)[row, :, g]
+        if whole < n:  # the last t holds the columns whole + g, g < n - whole
+            vals[:, -1] = rows[row, np.minimum(whole + g, n - 1)]
+        hit = np.flatnonzero(key(vals) >= bound.reshape(-1)[row, None])
+        row, col = row[hit // c], g[hit // c] + m * (hit % c)
+        ok = (col < n) & (col != row0 + row % r)  # not past the end, nor self
+        at = row[ok] * n + col[ok]
+        s.reshape(-1)[at] = vals.reshape(-1)[hit[ok]]
+        flat = np.sort(at)
+        if flat.size > cap:  # keep each row's first k ties, as below
+            tie = s.reshape(-1)[flat] == bound.reshape(-1)[flat // n]
+            before = np.cumsum(tie) - tie  # ties ahead in the block
+            before -= before[np.searchsorted(flat, flat - flat % n)]  # ... in the row
+            flat = flat[~tie | (before < k)]
+    else:  # ties at L in most groups: the key of the whole block
+        key(s)[:, local, row0 + local] = -np.inf
+        cand = s >= bound
+        if np.count_nonzero(cand) > cap:
+            ties = cand
+            cand = s > bound
+            ties ^= cand  # the entries equal to L
+            each_row = np.arange(b)[:, None], local
+            for _ in range(k):  # argmax stops at each row's first remaining tie
+                first = (*each_row, ties.argmax(axis=-1))
+                cand[first] |= ties[first]
+                ties[first] = False
+        flat = np.flatnonzero(cand)
+    # flat indices ascend, so a stable sort by (row, -key) orders each row
     # as a stable sort of the full row does
-    flat = np.flatnonzero(cand)
     row = flat // n
-    flat = flat[np.lexsort((-key.reshape(-1)[flat], row))]
+    flat = flat[np.lexsort((-s.reshape(-1)[flat], row))]
     count = np.bincount(row, minlength=b * r)
     start = np.cumsum(count) - count
     return (flat[start[:, None] + np.arange(k)] % n).reshape(b, r, k)
@@ -438,6 +471,8 @@ def _streamed_graph(z: np.ndarray, k: int, weights: np.ndarray) -> SimilarityGra
     b, n, dh = z.shape
     k_eff = _clamp_k(k, n, weights)
     zh = l2_normalize(z, axis=-1)
+    # a contiguous transpose: zh @ zh.T itself goes to SYRK, about twice as slow
+    zt = np.ascontiguousarray(zh.transpose(0, 2, 1))
     scale = 1.0 / math.sqrt(dh)
     neighbors = np.empty((b, n, k_eff), dtype=np.intp)
     rows = max(2, _BLOCK_ELEMS // max(b * n, 1))
@@ -445,7 +480,8 @@ def _streamed_graph(z: np.ndarray, k: int, weights: np.ndarray) -> SimilarityGra
         # a lone last row joins this block: a one-row product takes another
         # BLAS path (gemv) whose rounding can differ from the full matrix's
         r1 = r0 + rows if r0 + rows < n - 1 else n
-        neighbors[:, r0:r1] = _top_k_rows(_similarity(zh[:, r0:r1], zh, scale), r0, k_eff)
+        neighbors[:, r0:r1] = _top_k_rows(matmul(zh[:, r0:r1], zt), r0, k_eff,
+                                          lambda v: _tanh_key(v, scale))
     return _rank_graph(neighbors, weights)
 
 
@@ -490,45 +526,47 @@ def _reflect_indices(n: int) -> np.ndarray:
 _OFFSETS = [(dy, dx) for dy in range(3) for dx in range(3)]
 
 
-def _dual_pool_trace(zp: np.ndarray):
+def dual_pool(zp: np.ndarray):
+    """Parallel 3x3 max and average pooling, stride 1, reflective padding of 1;
+    output shapes equal the input shape."""
     zp = np.asarray(zp)
     if zp.ndim != 4:
         raise ValueError(f"expected [B, H, W, C], got shape {zp.shape}")
     _, h, w, _ = zp.shape
-    padded = zp[:, _reflect_indices(h)][:, :, _reflect_indices(w)]  # [B, H+2, W+2, C]
-    # running max, argmax and sum over the offsets in order: the same values
-    # as max/argmax/mean over a 9-offset stack, without holding it (strict >
-    # keeps argmax's first-index tie rule; the sum starts from +0 as a
-    # reduction does, so all -0 windows average to +0)
-    mx = padded[:, :h, :w].copy()
-    argmax = np.zeros(mx.shape, dtype=np.uint8)
+    # C order, so that sums over the outputs (the gate cotangents) add in order
+    padded = np.take(np.take(zp, _reflect_indices(h), axis=1), _reflect_indices(w), axis=2)
+    # the max 3 wide, then 3 tall: of equal values (-0, +0) np.maximum keeps
+    # its second, so this is the 9-offset running max's bits
+    rows = np.maximum(padded[:, :, :w], padded[:, :, 1 : w + 1])
+    np.maximum(rows, padded[:, :, 2:], out=rows)
+    mx = np.maximum(rows[:, :h], rows[:, 1 : h + 1])
+    np.maximum(mx, rows[:, 2:], out=mx)
+    # the sum over the offsets in order from +0, as a reduction adds, so all
+    # -0 windows average to +0
     acc = np.zeros_like(mx)
-    for o, (dy, dx) in enumerate(_OFFSETS):
-        window = padded[:, dy : dy + h, dx : dx + w]
-        # offsets ascend, so a strict win at o raises the argmax to o
-        np.maximum(argmax, (window > mx) * np.uint8(o), out=argmax)
-        np.maximum(mx, window, out=mx)
-        acc += window
-    return mx, acc / 9, argmax
+    for dy, dx in _OFFSETS:
+        acc += padded[:, dy : dy + h, dx : dx + w]
+    return mx, acc / 9
 
 
-def dual_pool(zp: np.ndarray):
-    """Parallel 3x3 max and average pooling, stride 1, reflective padding of 1;
-    output shapes equal the input shape."""
-    mx, av, _ = _dual_pool_trace(zp)
-    return mx, av
-
-
-def _dual_pool_vjp(dmx, dav, argmax):
-    """Adjoint of the dual pool, in the cotangents' dtype."""
-    b, h, w, c = argmax.shape
+def _dual_pool_vjp(dmx, dav, zp, mx):
+    """Adjoint of the dual pool of ``zp``, whose max is ``mx``, in the
+    cotangents' dtype. The max's cotangent goes to the first offset whose
+    window equals the max: for finite values, the first-index argmax."""
+    b, h, w, c = zp.shape
+    padded = np.take(np.take(zp, _reflect_indices(h), axis=1), _reflect_indices(w), axis=2)
     dpadded = np.zeros((b, h + 2, w + 2, c), dtype=dmx.dtype)
     dav9 = dav / 9.0
     term = np.empty_like(dmx)
-    for o, (dy, dx) in enumerate(_OFFSETS):
-        # (argmax == o) * dmx is dmx or a signed zero; a -0 term adds the same
-        # bits as +0, because the +0-started accumulator never becomes -0
-        np.multiply(argmax == o, dmx, out=term)
+    hit = np.empty(mx.shape, dtype=bool)
+    free = np.ones(mx.shape, dtype=bool)  # no earlier offset reached the max
+    for dy, dx in _OFFSETS:
+        np.equal(padded[:, dy : dy + h, dx : dx + w], mx, out=hit)
+        hit &= free
+        free ^= hit
+        # hit * dmx is dmx or a signed zero; a -0 term adds the same bits as
+        # +0, because the +0-started accumulator never becomes -0
+        np.multiply(hit, dmx, out=term)
         term += dav9
         dpadded[:, dy : dy + h, dx : dx + w] += term
     return _fold_reflect(_fold_reflect(dpadded, 1), 2)
@@ -610,7 +648,8 @@ def _down(x: np.ndarray, params: DsgaParams) -> np.ndarray:
     """The down-projection pre = flatten(x) @ down_w + down_b, [B, N, D_hidden]."""
     b, h, w, d = x.shape
     # a strided x is copied by the reshape; the copy lives only for this product
-    pre = matmul(x.reshape(b, h * w, d), params.down_w) + params.down_b
+    pre = matmul(x.reshape(b, h * w, d), params.down_w)
+    pre += params.down_b
     return check_finite(pre, "down-projection")
 
 
@@ -629,7 +668,7 @@ def _run(x: np.ndarray, params: DsgaParams, cfg: DsgaConfig, pre: np.ndarray):
     graph = _streamed_graph(z, adaptive_k(params.theta_k, cfg.k_max), w_rank)
     g = propagate(graph, z)
     fr = check_finite(matmul(g, params.fusion_w), "fusion").reshape(b, h, w, dh)
-    mx, av, argmax = _dual_pool_trace(fr)
+    mx, av = dual_pool(fr)
     pooled = hybrid_pool(mx, av, params.w_p_raw)
     zp = gated_residual(fr, pooled, params.w_n_raw)
 
@@ -671,7 +710,7 @@ def _run(x: np.ndarray, params: DsgaParams, cfg: DsgaConfig, pre: np.ndarray):
         d_w_p = float(np.sum((mx - av) * d_pooled)) * sigmoid_grad(params.w_p_raw)
 
         # dual pooling (argmax fixed)
-        d_fr += _dual_pool_vjp(d_mx, d_av, argmax)
+        d_fr += _dual_pool_vjp(d_mx, d_av, fr, mx)
         d_f = d_fr.reshape(b * n, dh)
 
         # fusion

@@ -52,7 +52,8 @@ def cmd_forward(args) -> int:
     full = PipelineConfig.from_dict({"dsga": cfg_data})
     cfg = full.dsga
     params = pipeline.read_params_bundle(args.params)
-    out, graph = dsga_forward(x, params, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow exits 3 in its checks
+        out, graph = dsga_forward(x, params, cfg)
     fileio.write_tns(args.output, out)
     if args.emit_graph:
         fileio.write_json(args.emit_graph, graph.as_json_obj())

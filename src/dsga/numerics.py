@@ -44,7 +44,11 @@ class NumericalError(Exception):
 
 
 def check_finite(x: np.ndarray, name: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
+    """``x`` itself, unless it holds NaN or +-inf (NumericalError). A NaN
+    reaches both the minimum and the maximum, and an infinity one of them,
+    so the two reductions test every element without an array-sized mask."""
+    values = np.asarray(x)
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise NumericalError(f"{name} contains non-finite values")
     return x
 
@@ -104,7 +108,12 @@ def gelu(x: np.ndarray) -> np.ndarray:
     """Exact GELU x * Phi(x) using the Gaussian CDF (not the tanh approximation),
     in the dtype of ``x``: the Python-float constants do not promote it."""
     x = np.asarray(x)
-    return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    # two buffers; (x * 0.5) * (1 + erf) in erf's dtype, as the one expression
+    # promotes, and a product is the same bits in either order
+    cdf = erf(x / math.sqrt(2.0))
+    cdf += 1.0
+    cdf *= x * 0.5
+    return cdf
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -122,11 +131,19 @@ def l2_normalize(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
     Zero-norm slices come back as zero vectors (the denominator carries a
     1e-12 shift), so cosine similarity against an empty feature patch is 0
-    rather than NaN.
+    rather than NaN. A finite slice whose sum of squares overflows is first
+    divided by its largest magnitude, and its norm then needs no shift; every
+    other slice keeps its bytes.
     """
     x = np.asarray(x)
-    norm = np.sqrt(np.sum(x * x, axis=axis, keepdims=True))
-    return x / (norm + EPS_NORM)
+    with np.errstate(over="ignore"):  # an overflowing slice is rescaled below
+        norm = np.sqrt(np.sum(x * x, axis=axis, keepdims=True))
+    out = x / (norm + EPS_NORM)
+    huge = np.isinf(norm)
+    if huge.any():
+        y = x / np.where(huge, np.max(np.abs(x), axis=axis, keepdims=True), 1)
+        np.divide(y, np.sqrt(np.sum(y * y, axis=axis, keepdims=True)), out=out, where=huge)
+    return out
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -202,16 +202,17 @@ def set_block_rows(monkeypatch, rows, b, n):
 
 
 def record_blocks(monkeypatch):
-    """Copies of the similarity row blocks the streamed graph computes, in order."""
+    """Copies of the similarity row blocks the streamed graph selects from, in
+    order: the key of each whole block of products, which the selection
+    itself evaluates only where it needs it."""
     blocks = []
-    similarity = adapter._similarity
+    top_k_rows = adapter._top_k_rows
 
-    def recording(zh_rows, zh, scale):
-        s = similarity(zh_rows, zh, scale)
-        blocks.append(s.copy())
-        return s
+    def recording(s, row0, k, key=None):
+        blocks.append(s.copy() if key is None else key(s.copy()))
+        return top_k_rows(s, row0, k, key)
 
-    monkeypatch.setattr(adapter, "_similarity", recording)
+    monkeypatch.setattr(adapter, "_top_k_rows", recording)
     return blocks
 
 
@@ -301,7 +302,11 @@ class TestTopKOracle:
         # widening is exact and keeps order, so selecting on the float32 blocks
         # and on their float64 copies gives the same neighbours, ties included
         rng = np.random.default_rng(67 + (rows or 0))
-        similarity = adapter._similarity
+        top_k_rows = adapter._top_k_rows
+
+        def widened(s, row0, k, key):
+            return top_k_rows(key(s).astype(np.float64), row0, k)
+
         for _ in range(20):
             b, n = int(rng.integers(1, 3)), int(rng.integers(2, 40))
             k = int(rng.integers(1, n + 2))
@@ -309,10 +314,11 @@ class TestTopKOracle:
             weights = np.ones(k)
             with monkeypatch.context() as m:
                 set_block_rows(m, rows, b, n)
+                m.setattr(adapter, "_top_k_rows", widened)
+                g64 = adapter._streamed_graph(z, k, weights)
+                m.setattr(adapter, "_top_k_rows", top_k_rows)
                 blocks = record_blocks(m)
                 g32 = adapter._streamed_graph(z, k, weights)
-                m.setattr(adapter, "_similarity", lambda *a: similarity(*a).astype(np.float64))
-                g64 = adapter._streamed_graph(z, k, weights)
             s = np.concatenate(blocks, axis=1)
             assert s.dtype == np.float32 and (rows is None or len(blocks) > 1 or n <= rows + 1)
             assert np.array_equal(g32.neighbors, g64.neighbors)
@@ -396,6 +402,43 @@ def partition_top_k(key, row0, k):
     vals = np.take_along_axis(key, cols, axis=-1)
     order = np.argsort(-vals, axis=-1, kind="stable")
     return np.take_along_axis(cols, order, axis=-1)
+
+
+def full_key_top_k(key, row0, k):
+    """Reference top-k selection of the similarity rows row0..row0+R-1 held in
+    ``key`` (overwritten): the whole block's key, the group-maximum bound,
+    each row's first k ties at it, then a stable sort by (row, -key). It is
+    the selection _top_k_rows made before it read each block of products
+    once and keyed only the groups that can hold the top k, kept here as the
+    oracle."""
+    b, r, n = key.shape
+    if k == 0:
+        return np.zeros((b, r, 0), dtype=np.intp)
+    local = np.arange(r)
+    key[:, local, row0 + local] = -np.inf
+    m = min(n, max(adapter._GROUPS, k + 1))
+    whole = n - n % m
+    gmax = key[..., :whole].reshape(b, r, -1, m).max(axis=2)
+    np.maximum(gmax[..., : n - whole], key[..., whole:], out=gmax[..., : n - whole])
+    if not gmax.max() < np.inf:
+        raise NumericalError("similarity contains non-finite values")
+    bound = np.partition(gmax, m - k, axis=-1)[..., m - k, None]
+    cand = key >= bound
+    if np.count_nonzero(cand) > b * r * (k + (k - 1) * -(-n // m)):
+        ties = cand
+        cand = key > bound
+        ties ^= cand
+        each_row = np.arange(b)[:, None], local
+        for _ in range(k):
+            first = (*each_row, ties.argmax(axis=-1))
+            cand[first] |= ties[first]
+            ties[first] = False
+    flat = np.flatnonzero(cand)
+    row = flat // n
+    flat = flat[np.lexsort((-key.reshape(-1)[flat], row))]
+    count = np.bincount(row, minlength=b * r)
+    start = np.cumsum(count) - count
+    return (flat[start[:, None] + np.arange(k)] % n).reshape(b, r, k)
 
 
 def record_sort_sizes(monkeypatch):
@@ -950,9 +993,40 @@ class TestDsgaVjp:
 # as oracles
 
 
+def argmax_dual_pool(zp):
+    """Running max, argmax and sum over the 9 offsets in order: the dual pool
+    as it was when it carried the argmax (uint8, strict > for the first
+    index) for its VJP, kept as the oracle."""
+    _, h, w, _ = zp.shape
+    padded = zp[:, adapter._reflect_indices(h)][:, :, adapter._reflect_indices(w)]
+    mx = padded[:, :h, :w].copy()
+    argmax = np.zeros(mx.shape, dtype=np.uint8)
+    acc = np.zeros_like(mx)
+    for o, (dy, dx) in enumerate(adapter._OFFSETS):
+        window = padded[:, dy : dy + h, dx : dx + w]
+        np.maximum(argmax, (window > mx) * np.uint8(o), out=argmax)
+        np.maximum(mx, window, out=mx)
+        acc += window
+    return mx, acc / 9, argmax
+
+
+def argmax_dual_pool_vjp(dmx, dav, argmax):
+    """The dual pool's adjoint from a given argmax, as it was before the VJP
+    derived the argmax from the max; kept as the oracle."""
+    b, h, w, c = argmax.shape
+    dpadded = np.zeros((b, h + 2, w + 2, c), dtype=dmx.dtype)
+    dav9 = dav / 9.0
+    term = np.empty_like(dmx)
+    for o, (dy, dx) in enumerate(adapter._OFFSETS):
+        np.multiply(argmax == o, dmx, out=term)
+        term += dav9
+        dpadded[:, dy : dy + h, dx : dx + w] += term
+    return adapter._fold_reflect(adapter._fold_reflect(dpadded, 1), 2)
+
+
 def stacked_dual_pool(zp):
     """max, mean and argmax over a stack of the 9 reflect-padded offsets; the
-    argmax (an offset index 0..8) in the trace's uint8."""
+    argmax (an offset index 0..8) in uint8."""
     _, h, w, _ = zp.shape
     padded = zp[:, adapter._reflect_indices(h)][:, :, adapter._reflect_indices(w)]
     stack = np.stack(
@@ -988,7 +1062,7 @@ def forward_trace(x, params, cfg):
     t["g"] = adapter.propagate(t["graph"], t["z"])
     t["f"] = adapter.matmul(t["g"], params.fusion_w)
     t["fr"] = t["f"].reshape(b, h, w, dh)
-    t["mx"], t["av"], t["argmax"] = adapter._dual_pool_trace(t["fr"])
+    t["mx"], t["av"], t["argmax"] = argmax_dual_pool(t["fr"])
     t["pooled"] = adapter.hybrid_pool(t["mx"], t["av"], params.w_p_raw)
     t["zp"] = adapter.gated_residual(t["fr"], t["pooled"], params.w_n_raw)
     flat = t["zp"].reshape(b, n, dh)
@@ -1145,6 +1219,28 @@ GRID_SHAPES = [(1, 1, 1), (2, 1, 1), (1, 1, 9), (1, 9, 1), (1, 2, 2), (2, 2, 3),
                (1, 3, 5), (2, 4, 4), (1, 6, 7)]
 
 
+def assert_same_array(got, ref):
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def assert_pool_matches_stack(values, rng):
+    """dual_pool against the stack's max and mean, and its VJP against the
+    adjoint at the stack's first-index argmax (the max's cotangent at the
+    first offset that reaches it)."""
+    mx, av = adapter.dual_pool(values)
+    ref_mx, ref_av, ref_argmax = stacked_dual_pool(values)
+    assert_same_array(mx, ref_mx)
+    assert_same_array(av, ref_av)
+    # C-ordered as the running pool's were: the forward's gate cotangents
+    # sum over them in memory order
+    assert mx.flags.c_contiguous and av.flags.c_contiguous
+    for ct in (np.float32, np.float64):
+        dmx, dav = (rng.standard_normal(values.shape).astype(ct) for _ in range(2))
+        dmx[rng.random(values.shape) < 0.2] *= 0.0  # signed zero cotangents
+        got = adapter._dual_pool_vjp(dmx, dav, values, mx)
+        assert_same_array(got, argmax_dual_pool_vjp(dmx, dav, ref_argmax))
+
+
 class TestForwardPieceOracle:
     def test_dual_pool_matches_stack(self):
         rng = np.random.default_rng(70)
@@ -1153,13 +1249,15 @@ class TestForwardPieceOracle:
                 for values in (rng.standard_normal((b, h, w, 5)).astype(dtype),
                                tied_values(rng, (b, h, w, 5), dtype),
                                rng.integers(-3, 4, size=(b, h, w, 5))):
-                    got = adapter._dual_pool_trace(values)
-                    for a, ref in zip(got, stacked_dual_pool(values)):
-                        assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
+                    assert_pool_matches_stack(values, rng)
+                    # the oracle itself: the running argmax is the stack's
+                    for a, ref in zip(argmax_dual_pool(values), stacked_dual_pool(values)):
+                        assert_same_array(a, ref)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_running_argmax_matches_stack(self, dtype):
-        # the argmax runs and stays in uint8: it must be the stack's
+    def test_derived_argmax_matches_stack(self, dtype):
+        # plateaus and signed zeros: the separable max keeps the stack's bits,
+        # and the VJP's first offset equal to the max is the stack's
         # first-index argmax where windows tie
         rng = np.random.default_rng(73)
         for b, h, w in [(1, 1, 1), (2, 1, 6), (1, 7, 1), (1, 1, 2), (2, 5, 4), (1, 8, 9)]:
@@ -1171,12 +1269,7 @@ class TestForwardPieceOracle:
                            np.full((b, h, w, 2), -0.0),
                            signed_zeros,
                            mixed):
-                values = np.ascontiguousarray(values, dtype=dtype)
-                mx, av, argmax = adapter._dual_pool_trace(values)
-                ref_mx, ref_av, ref_argmax = stacked_dual_pool(values)
-                assert argmax.dtype == np.uint8 and argmax.tobytes() == ref_argmax.tobytes()
-                assert mx.dtype == dtype and mx.tobytes() == ref_mx.tobytes()
-                assert av.dtype == dtype and av.tobytes() == ref_av.tobytes()
+                assert_pool_matches_stack(np.ascontiguousarray(values, dtype=dtype), rng)
 
     def test_propagate_matches_gather(self):
         rng = np.random.default_rng(71)
@@ -1202,7 +1295,7 @@ class TestForwardPieceOracle:
             out, graph = dsga_forward(x, params, cfg)
             with monkeypatch.context() as m:
                 m.setattr(adapter, "propagate", gathered_propagate)
-                m.setattr(adapter, "_dual_pool_trace", stacked_dual_pool)
+                m.setattr(adapter, "dual_pool", lambda zp: stacked_dual_pool(zp)[:2])
                 ref_out, ref_graph = dsga_forward(x, params, cfg)
             assert np.array_equal(graph.neighbors, ref_graph.neighbors)
             assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
@@ -1223,14 +1316,14 @@ class TestPrecision:
                       "up-projection": "out"}[args[1]]] = result
             elif name == "matmul":  # the last product is the up-projection
                 seen["dropped"] = args[0]
-            elif name == "_dual_pool_trace":
+            elif name == "dual_pool":
                 seen["fr"] = args[0]
-                seen["mx"], seen["av"], _ = result
+                seen["mx"], seen["av"] = result
             else:
                 seen[{"gelu": "z", "propagate": "g", "hybrid_pool": "pooled",
                       "gated_residual": "zp"}[name]] = result
 
-        for name in ("matmul", "gelu", "propagate", "check_finite", "_dual_pool_trace",
+        for name in ("matmul", "gelu", "propagate", "check_finite", "dual_pool",
                      "hybrid_pool", "gated_residual"):
             def stage(*args, _name=name, _fn=getattr(adapter, name)):
                 result = _fn(*args)
@@ -1452,7 +1545,7 @@ class TestVjpOracle:
                 tracemalloc.stop()
 
         peaks = {}
-        for name in ("propagate", "_dual_pool_trace"):
+        for name in ("propagate", "dual_pool"):
             def stage(*args, _name=name, _fn=getattr(adapter, name)):
                 peaks[_name], result = traced(lambda: _fn(*args))
                 return result
@@ -1460,7 +1553,7 @@ class TestVjpOracle:
             monkeypatch.setattr(adapter, name, stage)
         dsga_vjp(x, replace(params, theta_k=50.0), cfg, upstream)
         monkeypatch.undo()
-        assert peaks["_dual_pool_trace"] < 9 * hidden
+        assert peaks["dual_pool"] < 9 * hidden
         assert peaks["propagate"] < 8 * hidden
         # nothing the backward holds grows with k by a hidden-sized array per rank
         total = {
@@ -1660,6 +1753,144 @@ class TestForwardReuse:
         # the output (3 MB) and the intermediates its pullback reads (7 MB)
         assert held > 2 * x.nbytes, held
         assert after < 16e3, after
+
+
+def use_oracle_kernels(m):
+    """Put the selection and the pool as they were before the single-read
+    change (each whole block keyed; the argmax carried by the pool) in place
+    of the adapter's."""
+    m.setattr(adapter, "_top_k_rows", lambda s, row0, k, key=None:
+              full_key_top_k(s if key is None else key(s), row0, k))
+    m.setattr(adapter, "dual_pool", lambda zp: argmax_dual_pool(zp)[:2])
+    m.setattr(adapter, "_dual_pool_vjp", lambda dmx, dav, zp, mx:
+              argmax_dual_pool_vjp(dmx, dav, argmax_dual_pool(zp)[2]))
+
+
+def forward_vjp_outcome(x, params, cfg, upstream):
+    """Output and neighbour bytes of dsga_forward, then the outcome of the
+    dsga_vjp that applies its held pullback."""
+    out, graph = dsga_forward(x, params, cfg)
+    return out.dtype, out.tobytes(), graph.neighbors.tobytes(), vjp_outcome(
+        x, params, cfg, upstream)
+
+
+def assert_matches_oracles(case, monkeypatch, knobs=()):
+    with monkeypatch.context() as m:
+        for name, value in knobs:
+            m.setattr(adapter, name, value)
+        got = forward_vjp_outcome(*case)
+        use_oracle_kernels(m)
+        assert got == forward_vjp_outcome(*case), (case[0].shape, case[0].dtype, case[2], knobs)
+
+
+def token_field(rng, kind, b, h, w, d):
+    """A [B, H, W, D] token field of one kind: a Gaussian field with a
+    rectangle of identical tokens, a constant, two tokens, half of the
+    tokens identical, values rounded to halves, or tied_tokens."""
+    n = h * w
+    x = rng.standard_normal((b, n, d))
+    if kind == "rectangle":
+        x = x.reshape(b, h, w, d)
+        y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        y1, x1 = y0 + int(rng.integers(1, h + 1)), x0 + int(rng.integers(1, w + 1))
+        x[:, y0:y1, x0:x1] = x[:, y0, x0, None, None]
+    elif kind == "constant":
+        x[...] = rng.standard_normal()
+    elif kind == "two-valued":
+        x = rng.standard_normal((2, d))[rng.integers(0, 2, size=(b, n))]
+    elif kind == "half-tied":
+        x[:, n // 4 : n // 4 + -(-n // 2)] = x[:, n // 4, None]
+    elif kind == "rounded":
+        x = np.round(2 * x) / 2
+    else:
+        x = tied_tokens(rng, b, n, d)
+    return x.reshape(b, h, w, d)
+
+
+FIELD_KINDS = ("rectangle", "constant", "two-valued", "half-tied", "rounded", "tied")
+
+
+def single_read_cases(count, seed=84):
+    """(case, knobs): small grids (B <= 2, H and W <= 12) of every field kind,
+    float32 and float64, eval and train mode with dropout, k from 1 to
+    k_max, under module knobs that vary the column groups (the module's, the
+    fewest, and a few per block), the rows per block, and the gather share
+    (the module's, always gathered, never gathered)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        b, h, w = int(rng.integers(1, 3)), int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        dtype = (np.float32, np.float64)[i % 2]
+        d = int(rng.choice([8, 12, 16]))
+        mode, prob = [("eval", 0.0), ("train", 0.1), ("train", 0.3)][int(rng.integers(0, 3))]
+        cfg = DsgaConfig(embed_dim=d, reduction_ratio=float(rng.choice([0.25, 0.5])),
+                         k_max=int(rng.integers(1, 9)), dropout_prob=prob, mode=mode,
+                         seed=int(rng.integers(0, 2**31)))
+        params = init_dsga_params(cfg, precision="single" if dtype == np.float32 else "double")
+        params.theta_k = float(rng.uniform(-3.0, 6.0))
+        params.w_p_raw, params.w_n_raw = (float(v) for v in rng.standard_normal(2))
+        x = token_field(rng, FIELD_KINDS[i % len(FIELD_KINDS)], b, h, w, d).astype(dtype)
+        rows = [None, 2, 3, 7][int(rng.integers(0, 4))]
+        knobs = (("_GROUPS", int(rng.choice([adapter._GROUPS, 1, 3, 5, 16]))),
+                 ("_BLOCK_ELEMS", DEFAULT_BLOCK_ELEMS if rows is None else rows * b * h * w),
+                 ("_GATHER_SHARE", float(rng.choice([adapter._GATHER_SHARE, 0.0, np.inf]))))
+        yield (x, params, cfg, rng.standard_normal(x.shape)), knobs
+
+
+def benchmark_infer_cases(seed=5):
+    """(x, params, cfg, upstream) of the four 64x64x768 fields of the
+    benchmark's adapter_infer workload at ``seed``, made by its own generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bench = workloads.AdapterInfer()
+    bench.setup(seed, None)
+    for x, _ in bench.inputs:
+        yield x, bench.params, bench.cfg, None
+
+
+class TestSingleReadOracle:
+    """The selection that reads each block of products once and keys only
+    the candidate groups, and the pool whose VJP derives its argmax, give
+    the bytes of the kernels they replaced: neighbours, forward output and
+    every dsga_vjp cotangent."""
+
+    def test_small_fields(self, monkeypatch):
+        for case, knobs in single_read_cases(1000):
+            assert_matches_oracles(case, monkeypatch, knobs)
+
+    def test_oracle_and_benchmark_train_cases(self, monkeypatch):
+        # the train-mode dropout cases included
+        for case in [*oracle_cases(), *benchmark_train_cases()]:
+            assert_matches_oracles(case, monkeypatch)
+
+    @pytest.mark.parametrize("share", [4, 0.0, np.inf])
+    def test_key_that_lifts_the_masked_entry(self, share, monkeypatch):
+        # a key that maps the masked self entry's -inf up to the bound, as a
+        # saturating tanh would: the row's own node is still never selected
+        monkeypatch.setattr(adapter, "_GATHER_SHARE", share)
+        rng = np.random.default_rng(85)
+
+        def clamp(v):
+            return np.maximum(v, 0.0, out=v)
+
+        for groups in (adapter._GROUPS, 1, 5):
+            monkeypatch.setattr(adapter, "_GROUPS", groups)
+            for _ in range(20):
+                b, n = int(rng.integers(1, 3)), int(rng.integers(2, 60))
+                r0, k = int(rng.integers(0, n - 1)), int(rng.integers(1, n))
+                s = rng.uniform(-1.0, 0.2, size=(b, int(rng.integers(1, n - r0 + 1)), n))
+                ref = full_key_top_k(clamp(s.copy()), r0, k)
+                assert np.array_equal(adapter._top_k_rows(s, r0, k, clamp), ref)
+
+    def test_benchmark_infer_fields(self, monkeypatch):
+        for x, params, cfg, _ in benchmark_infer_cases():
+            out, graph = dsga_forward(x, params, cfg)
+            with monkeypatch.context() as m:
+                use_oracle_kernels(m)
+                ref_out, ref_graph = dsga_forward(x, params, cfg)
+            assert np.array_equal(graph.neighbors, ref_graph.neighbors)
+            assert out.tobytes() == ref_out.tobytes()
 
 
 class TestParameterCount:

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -24,6 +28,26 @@ class TestGelu:
     def test_exact_gaussian_cdf_at_one(self):
         # x * Phi(x) at x = 1, evaluated at 40-digit precision
         assert abs(gelu(np.array(1.0)) - 0.84134474606854295) < 1e-15
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int64])
+    def test_bytes_of_the_one_expression_form(self, dtype):
+        # two buffers, the same operations in the same order
+        rng = np.random.default_rng(14)
+        for x in (rng.standard_normal((3, 40, 7)) * 4.0, np.array(-0.0), np.array([-6e4, 6e4])):
+            x = x.astype(dtype)
+            got = gelu(x)
+            ref = x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_two_buffers_at_peak(self):
+        x = np.random.default_rng(15).standard_normal(2**20).astype(np.float32)
+        tracemalloc.start()
+        try:
+            gelu(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.nbytes, peak / x.nbytes
 
     def test_grad_of_float32_is_the_grad_of_its_float64_widening(self):
         rng = np.random.default_rng(12)
@@ -54,6 +78,33 @@ class TestL2Normalize:
 
     def test_zero_norm_maps_to_zero(self):
         assert np.array_equal(l2_normalize(np.zeros(2), axis=0), np.zeros(2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_overflowing_rows_are_rescaled_alone(self, dtype):
+        # rows whose sum of squares overflows come back unit-norm, with no
+        # warning; every other row keeps the bytes of the plain formula
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((2, 6, 16))
+        huge = np.finfo(dtype).max ** 0.5 * 10.0
+        x[0, 1] *= huge
+        x[1, 4] *= huge / 2
+        x[0, 3] *= huge / 1e3  # large, but its squares sum to a finite value
+        x[1, 5] = 0.0
+        x = x.astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = l2_normalize(x, axis=-1)
+        wide = x.astype(np.float64 if dtype == np.float32 else np.longdouble)
+        ref = wide / (np.sqrt(np.sum(wide * wide, axis=-1, keepdims=True)) + 1e-12)
+        assert got.dtype == dtype
+        assert np.allclose(got, ref, rtol=8 * np.finfo(dtype).eps, atol=0.0)
+        assert np.array_equal(got[1, 5], np.zeros(16))
+        plain = np.ones((2, 6), bool)
+        plain[0, 1] = plain[1, 4] = False
+        with np.errstate(over="ignore"):
+            before = x / (np.sqrt(np.sum(x * x, axis=-1, keepdims=True)) + 1e-12)
+        assert got[plain].tobytes() == before[plain].tobytes()
+        assert not before[~plain].any()  # the overflowing rows were zero vectors
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
@@ -117,3 +168,22 @@ class TestCheckFinite:
     def test_rejects_nan(self):
         with pytest.raises(NumericalError):
             check_finite(np.array([1.0, float("nan")]))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 16, -1])
+    def test_non_finite_at_first_middle_and_last(self, dtype, value, where):
+        x = np.linspace(-2.0, 2.0, 35).astype(dtype)
+        x[where] = value
+        with pytest.raises(NumericalError, match="^field contains non-finite values$"):
+            check_finite(x, "field")
+        with pytest.raises(NumericalError):
+            check_finite(x.reshape(5, 7)[:, ::2], "field")  # a strided view
+
+    @pytest.mark.parametrize("x", [
+        np.array([-0.0, 0.0]), np.zeros((0, 3)), np.arange(6).reshape(2, 3),
+        np.array([True, False]), np.array(np.finfo(np.float32).max, dtype=np.float32),
+        np.array([-np.finfo(np.float64).max, 5e-324]),
+    ])
+    def test_finite_returned_as_is(self, x):
+        assert check_finite(x) is x

@@ -1,7 +1,9 @@
 import dataclasses
 import filecmp
 import json
+import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from dsga.adapter import DsgaConfig, dsga_forward, init_dsga_params
 from dsga.cli import main
 from dsga.config import PipelineConfig, ValidationError
 from dsga.lora import LoraLayer
+from dsga.numerics import gelu
 from dsga.losses import LossHyper, LossWeights
 from dsga.pipeline import (
     audit_params,
@@ -259,6 +262,49 @@ def float_flag_command(tmp_path, flag):
     fileio.write_mask_pgm(tmp_path / "gt.pgm", gt)
     fileio.write_tns(tmp_path / "pred.tns", np.full((8, 8), 0.5))
     return ["loss", "eval", "--pred", str(tmp_path / "pred.tns"), "--gt", str(tmp_path / "gt.pgm")]
+
+
+class TestForwardOverflow:
+    """dsga forward under strict warnings on fields whose hidden rows are too
+    large to square in float32, with the bundle of ``dsga demo --seed 7``."""
+
+    @staticmethod
+    def run(tmp_path, scale):
+        params = init_dsga_params(DsgaConfig(embed_dim=16, k_max=4, seed=7))
+        write_params_bundle(tmp_path / "params", params)
+        x = (np.random.default_rng(7).uniform(-1.0, 1.0, (1, 4, 4, 16)) * scale).astype(np.float32)
+        fileio.write_tns(tmp_path / "x.tns", x)
+        (tmp_path / "cfg.json").write_text(json.dumps({"embed_dim": 16, "k_max": 4}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["forward", "--input", str(tmp_path / "x.tns"),
+                         "--params", str(tmp_path / "params"), "--config", str(tmp_path / "cfg.json"),
+                         "--output", str(tmp_path / "y.tns"), "--emit-graph", str(tmp_path / "g.json")])
+        return code, x, params
+
+    def test_overflowing_hidden_norms_rank_as_in_float64(self, tmp_path, capsys):
+        # the float32 squares of these rows overflow; the neighbours are those
+        # of the float64 cosine ranking of the same hidden features
+        code, x, params = self.run(tmp_path, 1e20)
+        assert code == 0 and capsys.readouterr().err == ""
+        z = gelu(x.reshape(1, 16, 16) @ params.down_w + params.down_b)[0].astype(np.float64)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.sum(z.astype(np.float32) ** 2, axis=-1)).sum() >= 8
+        zh = z / (np.linalg.norm(z, axis=-1, keepdims=True) + 1e-12)
+        s = np.tanh(zh @ zh.T / math.sqrt(z.shape[-1]))
+        s[np.arange(16), np.arange(16)] = -np.inf
+        (nodes,) = fileio.read_json(tmp_path / "g.json")
+        got = [[nb["index"] for nb in node["neighbors"]] for node in nodes]
+        assert got == np.argsort(-s, axis=-1, kind="stable")[:, : len(got[0])].tolist()
+        assert np.isfinite(fileio.read_tns(tmp_path / "y.tns")).all()
+
+    def test_overflowing_forward_exits_three(self, tmp_path, capsys):
+        # the output overflows: one line, no traceback, no output written
+        code, _, _ = self.run(tmp_path, 3e38)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: up-projection contains non-finite values\n"
+        assert not (tmp_path / "y.tns").exists()
 
 
 class TestLoraApplyFinite:
