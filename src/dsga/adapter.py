@@ -355,9 +355,9 @@ def _clamp_k(k: int, n: int, weights: np.ndarray) -> int:
 
 
 def _top_k_rows(s: np.ndarray, row0: int, k: int, key=None) -> np.ndarray:
-    """Neighbor indices [B, R, k] of the rows row0..row0+R-1 of ``s`` (any float
-    dtype, overwritten) by key(s), or s when key is None: descending key, ties
-    by lowest index, the row's own node excluded. ``key`` maps in place,
+    """Neighbor indices [B, R, k] of the rows row0..row0+R-1 of ``s`` (a float,
+    C-contiguous block, overwritten) by key(s), or s when key is None: descending
+    key, ties by lowest index, the row's own node excluded. ``key`` maps in place,
     elementwise and non-decreasing, so it commutes with a maximum. NaN or +inf
     in s off the diagonal raises: it reaches its group's maximum (a NaN on
     the diagonal, or -inf, does not). Widening the key to float64 is exact

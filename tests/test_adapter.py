@@ -1564,14 +1564,19 @@ class TestVjpOracle:
         assert total[50.0] - total[-50.0] < hidden
 
 
-def benchmark_train_cases(seed=5):
-    """(x, params, cfg, upstream) of the three inputs of the benchmark's
-    adapter_train workload at ``seed``, made by its own generator."""
+def bench_workloads():
+    """The benchmark's workloads module, loaded from perfbench/."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    bench = workloads.AdapterTrain()
+    return workloads
+
+
+def benchmark_train_cases(seed=5):
+    """(x, params, cfg, upstream) of the three inputs of the benchmark's
+    adapter_train workload at ``seed``, made by its own generator."""
+    bench = bench_workloads().AdapterTrain()
     bench.setup(seed, None)
     for x, _, _, upstream, _ in bench.inputs:
         yield x, bench.params, bench.cfg, upstream
@@ -1837,16 +1842,12 @@ def single_read_cases(count, seed=84):
 
 
 def benchmark_infer_cases(seed=5):
-    """(x, params, cfg, upstream) of the four 64x64x768 fields of the
-    benchmark's adapter_infer workload at ``seed``, made by its own generator."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    bench = workloads.AdapterInfer()
+    """(x, params, cfg) of the four 64x64x768 fields of the benchmark's
+    adapter_infer workload at ``seed``, made by its own generator."""
+    bench = bench_workloads().AdapterInfer()
     bench.setup(seed, None)
     for x, _ in bench.inputs:
-        yield x, bench.params, bench.cfg, None
+        yield x, bench.params, bench.cfg
 
 
 class TestSingleReadOracle:
@@ -1884,7 +1885,7 @@ class TestSingleReadOracle:
                 assert np.array_equal(adapter._top_k_rows(s, r0, k, clamp), ref)
 
     def test_benchmark_infer_fields(self, monkeypatch):
-        for x, params, cfg, _ in benchmark_infer_cases():
+        for x, params, cfg in benchmark_infer_cases():
             out, graph = dsga_forward(x, params, cfg)
             with monkeypatch.context() as m:
                 use_oracle_kernels(m)
