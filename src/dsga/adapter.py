@@ -23,8 +23,9 @@ k-th largest group key L, a lower bound on the k-th largest key, and only
 groups keyed at or above L are keyed and sorted (the whole block when ties
 at L span most groups). Fewer than k groups hold keys above L, at most
 (k - 1) * ceil(N / groups) per row; when ties at L (flat regions) admit
-more, each row keeps those and its k lowest-index keys equal to L. Neighbors
-are in descending similarity, ties by lowest index: a stable sort of the row.
+more, each row keeps those and its k lowest-index keys equal to L, by one
+cut that both ways share. Neighbors are in descending similarity, ties by
+lowest index: a stable sort of the row.
 
 One private runner computes the forward and returns, beside the output and
 the graph, its pullback: a closure over the forward's intermediates that
@@ -62,7 +63,7 @@ import math
 import numbers
 import threading
 import weakref
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -166,26 +167,19 @@ class DsgaParams:
     w_p_raw: float
     w_n_raw: float
 
-    def count(self) -> int:
-        return int(
-            self.down_w.size
-            + self.down_b.size
-            + self.up_w.size
-            + self.up_b.size
-            + self.fusion_w.size
-            + self.rank_logits.size
-            + 3
-        )
-
     def named_arrays(self):
-        return {
-            "down_w": self.down_w,
-            "down_b": self.down_b,
-            "up_w": self.up_w,
-            "up_b": self.up_b,
-            "fusion_w": self.fusion_w,
-            "rank_logits": self.rank_logits,
-        }
+        """The parameter arrays by field name, in field order: all but the gates."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _GATES}
+
+
+_GATES = ("theta_k", "w_p_raw", "w_n_raw")  # the scalar fields of DsgaParams
+
+
+def _param_shapes(cfg: DsgaConfig) -> dict:
+    """The shape of each DsgaParams array under ``cfg``, in field order."""
+    d, dh = cfg.embed_dim, cfg.d_hidden
+    return {"down_w": (d, dh), "down_b": (dh,), "up_w": (dh, d), "up_b": (d,),
+            "fusion_w": (dh, dh), "rank_logits": (cfg.k_max,)}
 
 
 def check_params(params: DsgaParams, cfg: DsgaConfig) -> None:
@@ -193,9 +187,7 @@ def check_params(params: DsgaParams, cfg: DsgaConfig) -> None:
     down_b [Dh], up_w [Dh, D], up_b [D], fusion_w [Dh, Dh] and rank_logits
     [k_max] are numpy arrays of one floating dtype, and the three gates are
     finite real numbers. O(1): no array element is read."""
-    d, dh = cfg.embed_dim, cfg.d_hidden
-    shapes = {"down_w": (d, dh), "down_b": (dh,), "up_w": (dh, d), "up_b": (d,),
-              "fusion_w": (dh, dh), "rank_logits": (cfg.k_max,)}
+    shapes = _param_shapes(cfg)
     arrays = params.named_arrays()
     for name, value in arrays.items():
         if not isinstance(value, np.ndarray):
@@ -210,7 +202,7 @@ def check_params(params: DsgaParams, cfg: DsgaConfig) -> None:
         if value.dtype != common:
             raise ValueError(f"{name} is {value.dtype} but most parameter arrays are {common}: "
                              "they share one dtype")
-    for name in ("theta_k", "w_p_raw", "w_n_raw"):
+    for name in _GATES:
         value = getattr(params, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
@@ -246,9 +238,11 @@ def init_theta_k(k_max: int) -> float:
 
 
 def init_dsga_params(cfg: DsgaConfig, precision: str = "single") -> DsgaParams:
-    """Seeded initialization; up-projection scale matches the down one (callers
-    zero it out to start from the identity map), rank logits decay with
-    exponent ``RANK_DECAY``."""
+    """Seeded float32 (``precision="single"``) or float64 (``"double"``)
+    initialization; up-projection scale matches the down one (callers zero it
+    out to start from the identity map), rank logits decay with ``RANK_DECAY``."""
+    if precision not in ("single", "double"):
+        raise ValueError(f"precision must be 'single' or 'double', got {precision!r}")
     dtype = np.float32 if precision == "single" else np.float64
     rng = np.random.default_rng(cfg.seed)
     d, dh = cfg.embed_dim, cfg.d_hidden
@@ -335,16 +329,20 @@ def _tanh_key(s: np.ndarray, scale: float) -> np.ndarray:
     return np.tanh(s, out=s)
 
 
+def _unit_rows(z: np.ndarray):
+    """The rows of [B, N, D] ``z`` L2-normalized, and their [B, D, N]
+    transpose, contiguous: zh @ zh.T itself goes to SYRK, about twice as slow."""
+    zh = l2_normalize(z, axis=-1)
+    return zh, np.ascontiguousarray(zh.transpose(0, 2, 1))
+
+
 def similarity_matrix(z: np.ndarray) -> np.ndarray:
     """Temperature-controlled cosine similarity: tanh(<z_i, z_j> / sqrt(D_hidden))
     on row-wise L2-normalized features. Symmetric, entries in (-1, 1)."""
     z = np.asarray(z)
     if z.ndim != 3:
         raise ValueError(f"expected [B, N, D_hidden], got shape {z.shape}")
-    zh = l2_normalize(z, axis=-1)
-    # a contiguous transpose: zh @ zh.T itself goes to SYRK, about twice as slow
-    zt = np.ascontiguousarray(zh.transpose(0, 2, 1))
-    return _tanh_key(matmul(zh, zt), 1.0 / math.sqrt(z.shape[-1]))
+    return _tanh_key(matmul(*_unit_rows(z)), 1.0 / math.sqrt(z.shape[-1]))
 
 
 def _clamp_k(k: int, n: int, weights: np.ndarray) -> int:
@@ -385,6 +383,7 @@ def _top_k_rows(s: np.ndarray, row0: int, k: int, key=None) -> np.ndarray:
     # fewer than k groups hold entries above L, at most (k-1)*ceil(n/m) per
     # row; with ties at L making more, keep those and each row's first k ties
     cap = b * r * (k + (k - 1) * c)
+    cand = None  # the candidates as a block mask, for the tie cut below
     if np.count_nonzero(groups) * c * _GATHER_SHARE < b * r * n:
         # the columns t*m + g of each (row, group g) keyed >= L, keyed alone;
         # the candidates' keys are written back over their similarities
@@ -400,19 +399,18 @@ def _top_k_rows(s: np.ndarray, row0: int, k: int, key=None) -> np.ndarray:
         ok = (col < n) & (col != row0 + row % r)  # not past the end, nor self
         at = row[ok] * n + col[ok]
         s.reshape(-1)[at] = vals.reshape(-1)[hit[ok]]
-        flat = np.sort(at)
-        if flat.size > cap:  # keep each row's first k ties, as below
-            tie = s.reshape(-1)[flat] == bound.reshape(-1)[flat // n]
-            before = np.cumsum(tie) - tie  # ties ahead in the block
-            before -= before[np.searchsorted(flat, flat - flat % n)]  # ... in the row
-            flat = flat[~tie | (before < k)]
+        if at.size > cap:  # not s >= bound: s holds keys at the candidates only
+            cand = np.zeros(s.shape, dtype=bool)
+            cand.reshape(-1)[at] = True
+        else:
+            flat = np.sort(at)
     else:  # ties at L in most groups: the key of the whole block
         key(s)[:, local, row0 + local] = -np.inf
         cand = s >= bound
+    if cand is not None:
         if np.count_nonzero(cand) > cap:
-            ties = cand
-            cand = s > bound
-            ties ^= cand  # the entries equal to L
+            ties = cand & (s == bound)  # the candidates equal to L
+            cand ^= ties
             each_row = np.arange(b)[:, None], local
             for _ in range(k):  # argmax stops at each row's first remaining tie
                 first = (*each_row, ties.argmax(axis=-1))
@@ -470,9 +468,7 @@ def _streamed_graph(z: np.ndarray, k: int, weights: np.ndarray) -> SimilarityGra
     similarities are computed and selected one block of rows at a time."""
     b, n, dh = z.shape
     k_eff = _clamp_k(k, n, weights)
-    zh = l2_normalize(z, axis=-1)
-    # a contiguous transpose: zh @ zh.T itself goes to SYRK, about twice as slow
-    zt = np.ascontiguousarray(zh.transpose(0, 2, 1))
+    zh, zt = _unit_rows(z)
     scale = 1.0 / math.sqrt(dh)
     neighbors = np.empty((b, n, k_eff), dtype=np.intp)
     rows = max(2, _BLOCK_ELEMS // max(b * n, 1))
@@ -513,17 +509,13 @@ def propagate(graph: SimilarityGraph, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reflect_indices(n: int) -> np.ndarray:
-    """Source index per padded position for pad-1 reflection (replicates at n=1)."""
-    if n == 1:
-        return np.zeros(3, dtype=np.intp)
-    idx = np.arange(-1, n + 1)
-    idx[0] = 1
-    idx[-1] = n - 2
-    return idx
-
-
 _OFFSETS = [(dy, dx) for dy in range(3) for dx in range(3)]
+
+
+def _reflect_pad(zp: np.ndarray) -> np.ndarray:
+    """[B, H, W, C] ``zp`` padded by 1 on H and W by reflection (a side of 1
+    repeats), in C order."""
+    return np.pad(zp, ((0, 0), (1, 1), (1, 1), (0, 0)), mode="reflect")
 
 
 def dual_pool(zp: np.ndarray):
@@ -534,7 +526,7 @@ def dual_pool(zp: np.ndarray):
         raise ValueError(f"expected [B, H, W, C], got shape {zp.shape}")
     _, h, w, _ = zp.shape
     # C order, so that sums over the outputs (the gate cotangents) add in order
-    padded = np.take(np.take(zp, _reflect_indices(h), axis=1), _reflect_indices(w), axis=2)
+    padded = _reflect_pad(zp)
     # the max 3 wide, then 3 tall: of equal values (-0, +0) np.maximum keeps
     # its second, so this is the 9-offset running max's bits
     rows = np.maximum(padded[:, :, :w], padded[:, :, 1 : w + 1])
@@ -554,7 +546,7 @@ def _dual_pool_vjp(dmx, dav, zp, mx):
     cotangents' dtype. The max's cotangent goes to the first offset whose
     window equals the max: for finite values, the first-index argmax."""
     b, h, w, c = zp.shape
-    padded = np.take(np.take(zp, _reflect_indices(h), axis=1), _reflect_indices(w), axis=2)
+    padded = _reflect_pad(zp)
     dpadded = np.zeros((b, h + 2, w + 2, c), dtype=dmx.dtype)
     dav9 = dav / 9.0
     term = np.empty_like(dmx)
@@ -862,10 +854,10 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
 
 
 def parameter_count(cfg: DsgaConfig, num_layers: int) -> int:
-    """Trainable scalars for a stack of adapters: per layer,
+    """Trainable scalars for a stack of adapters: per layer, the elements of
+    the arrays check_params enforces plus the gates,
     D*Dh + Dh + Dh*D + D + Dh^2 + K_max + 3."""
     if num_layers < 0:
         raise ValueError(f"num_layers must be >= 0, got {num_layers}")
-    d, dh = cfg.embed_dim, cfg.d_hidden
-    per_layer = d * dh + dh + dh * d + d + dh * dh + cfg.k_max + 3
+    per_layer = sum(map(math.prod, _param_shapes(cfg).values())) + len(_GATES)
     return num_layers * per_layer

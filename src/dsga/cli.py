@@ -110,17 +110,21 @@ def cmd_loss_eval(args) -> int:
     return EXIT_OK
 
 
-def _trace_contributions(path, lineno: int, line: str) -> list:
-    """The ``contributions`` of one trace line, three numbers; a malformed
-    line raises FileFormatError naming the file and the line."""
+def _trace_contributions(path, lineno: int, line: bytes) -> list:
+    """The ``contributions`` of one UTF-8 trace line, three numbers; a
+    malformed line raises FileFormatError naming the file and the line."""
     try:
-        record = json.loads(line)
+        record = json.loads(line.decode("utf-8"))
         values = record.get("contributions") if isinstance(record, dict) else None
         if not (isinstance(values, list) and len(values) == 3):
             raise ValidationError("expected an object with a 3-element 'contributions' list")
         return [_typed(f"contribution {i}", v, 0.0) for i, v in enumerate(values)]
+    except UnicodeDecodeError as exc:
+        raise fileio.FileFormatError(f"{path}: line {lineno}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise fileio.FileFormatError(f"{path}: line {lineno}: invalid JSON") from exc
+    except RecursionError as exc:
+        raise fileio.FileFormatError(f"{path}: line {lineno}: JSON nested too deeply") from exc
     except ValidationError as exc:
         raise fileio.FileFormatError(f"{path}: line {lineno}: {exc}") from exc
 
@@ -129,10 +133,9 @@ def cmd_loss_ema_sim(args) -> int:
     weights = LossWeights(ema_beta=args.beta)
     state = ContributionState()
     rows = []
-    with open(args.trace) as fh:
+    with open(args.trace, "rb") as fh:
         for step, line in enumerate(fh):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             contributions, state = contributions_from_components(
                 _trace_contributions(args.trace, step + 1, line), state, mode=args.mode

@@ -64,7 +64,7 @@ def read_tns(path) -> np.ndarray:
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("ascii"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError is a ValueError
             raise FileFormatError(f"{path}: bad TNS1 header") from exc
         if not isinstance(header, dict):
             raise FileFormatError(f"{path}: TNS1 header is not a JSON object")
@@ -200,10 +200,15 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
+    """The JSON value in the UTF-8 file ``path``; other bytes raise FileFormatError."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
 
 
 def write_prompts_jsonl(path, prompts) -> None:

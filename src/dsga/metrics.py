@@ -18,7 +18,7 @@ and the histogram is keyed by level and ground-truth value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,6 +46,7 @@ NUM_THRESHOLDS = 256
 S_ALPHA = 0.5  # weight of the object term in S
 F_BETA_SQ = 0.3  # beta^2 of every F-measure in a saliency report
 _NO_CELL = (0, 0.0, 0.0)  # (count, mean, centred M2) of an empty cell
+_IOU_FLOOR = 0.5  # the IoU a greedy match must reach
 
 
 def _count_scores(tp, pp, ng: int, n: int):
@@ -261,16 +262,8 @@ class MetricReport:
     threshold_curve: np.ndarray = field(repr=False)
 
     def as_dict(self) -> dict:
-        return {
-            "s_measure": self.s_measure,
-            "f_mean": self.f_mean,
-            "f_max": self.f_max,
-            "f_adaptive": self.f_adaptive,
-            "e_mean": self.e_mean,
-            "e_max": self.e_max,
-            "e_adaptive": self.e_adaptive,
-            "mae": self.mae,
-        }
+        """The scores by field name, in field order: all but the curve."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threshold_curve"}
 
 
 def evaluate_saliency(sal, gt) -> MetricReport:
@@ -306,19 +299,19 @@ class DetectionSet:
             raise ValueError(f"all masks must share dimensions, got {sorted(shapes)}")
 
 
-def _greedy_match(scores, iou: np.ndarray, iou_floor: float = 0.5):
+def _greedy_match(scores, iou: np.ndarray):
     """Score-descending greedy one-to-one matching on the prediction x
     ground-truth IoU matrix: each prediction takes the free ground truth of
-    highest IoU (lowest index on ties) if that IoU is positive and reaches
-    the floor. Returns per-prediction hit flags (aligned with the ranking)
-    and matched IoUs."""
+    highest IoU (lowest index on ties) if that IoU reaches ``_IOU_FLOOR``.
+    Returns per-prediction hit flags (aligned with the ranking) and matched
+    IoUs."""
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     free = np.ones(iou.shape[1], dtype=bool)
     hits, matched_ious = [], []
     for idx in order:
         row = np.where(free, iou[idx], -1.0)
         j = int(np.argmax(row)) if row.size else -1
-        if j >= 0 and row[j] > 0.0 and row[j] >= iou_floor:
+        if j >= 0 and row[j] >= _IOU_FLOOR:
             free[j] = False
             hits.append(True)
             matched_ious.append(float(row[j]))

@@ -20,6 +20,7 @@ from .adapter import (
     dsga_vjp,
     init_dsga_params,
     parameter_count,
+    _GATES,
 )
 from .config import PipelineConfig, ValidationError, _typed
 from .lora import LoraLayer, init_lora_layer, lora_apply, lora_parameter_count, lora_vjp
@@ -133,10 +134,6 @@ class GradcheckResult:
             "errors": dict(self.errors),
             "pass": self.passed,
         }
-
-
-# the scalar parameters of DsgaParams
-_GATES = ("theta_k", "w_p_raw", "w_n_raw")
 
 
 def _gradcheck(op: str, seed: int, instances: int, draw) -> GradcheckResult:

@@ -3,7 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ from dsga.adapter import (
     DsgaConfig,
     adaptive_k,
     build_graph,
+    check_params,
     dropout_mask,
     dsga_forward,
     dsga_vjp,
@@ -993,12 +994,22 @@ class TestDsgaVjp:
 # as oracles
 
 
+def reflect_indices(n):
+    """Source index per padded position for pad-1 reflection (replicates at n=1)."""
+    if n == 1:
+        return np.zeros(3, dtype=np.intp)
+    idx = np.arange(-1, n + 1)
+    idx[0] = 1
+    idx[-1] = n - 2
+    return idx
+
+
 def argmax_dual_pool(zp):
     """Running max, argmax and sum over the 9 offsets in order: the dual pool
     as it was when it carried the argmax (uint8, strict > for the first
     index) for its VJP, kept as the oracle."""
     _, h, w, _ = zp.shape
-    padded = zp[:, adapter._reflect_indices(h)][:, :, adapter._reflect_indices(w)]
+    padded = zp[:, reflect_indices(h)][:, :, reflect_indices(w)]
     mx = padded[:, :h, :w].copy()
     argmax = np.zeros(mx.shape, dtype=np.uint8)
     acc = np.zeros_like(mx)
@@ -1028,7 +1039,7 @@ def stacked_dual_pool(zp):
     """max, mean and argmax over a stack of the 9 reflect-padded offsets; the
     argmax (an offset index 0..8) in uint8."""
     _, h, w, _ = zp.shape
-    padded = zp[:, adapter._reflect_indices(h)][:, :, adapter._reflect_indices(w)]
+    padded = zp[:, reflect_indices(h)][:, :, reflect_indices(w)]
     stack = np.stack(
         [padded[:, dy : dy + h, dx : dx + w] for dy in range(3) for dx in range(3)], axis=0
     )
@@ -1107,9 +1118,9 @@ def reference_vjp(x, params, cfg, upstream):
     for o, (dy, ddx) in enumerate(adapter._OFFSETS):
         dpadded[:, dy : dy + h, ddx : ddx + w] += np.where(t["argmax"] == o, d_mx, 0.0) + d_av / 9.0
     folded_rows = np.zeros((b, h, w + 2, dh))
-    np.add.at(folded_rows, (slice(None), adapter._reflect_indices(h)), dpadded)
+    np.add.at(folded_rows, (slice(None), reflect_indices(h)), dpadded)
     d_pool = np.zeros((b, h, w, dh))
-    np.add.at(d_pool, (slice(None), slice(None), adapter._reflect_indices(w)), folded_rows)
+    np.add.at(d_pool, (slice(None), slice(None), reflect_indices(w)), folded_rows)
     d_f = (d_fr + d_pool).reshape(b, n, dh)
     d_fusion_w = np.einsum("bnh,bng->hg", t["g"], d_f)
     d_g = d_f @ params.fusion_w.T
@@ -1907,6 +1918,18 @@ class TestParameterCount:
         assert parameter_count(DsgaConfig(embed_dim=768), 0) == 0
 
     def test_matches_actual_parameter_arrays(self):
-        cfg = DsgaConfig(embed_dim=16, reduction_ratio=0.25, k_max=5)
-        params = init_dsga_params(cfg)
-        assert params.count() == parameter_count(cfg, 1)
+        # the count is the arrays init_dsga_params makes (and check_params
+        # accepts) plus the three gates, at every width
+        for embed_dim, ratio, k_max in ((16, 0.25, 5), (4, 0.25, 1), (7, 0.5, 3),
+                                        (768, 0.25, 8), (1024, 0.25, 8)):
+            cfg = DsgaConfig(embed_dim=embed_dim, reduction_ratio=ratio, k_max=k_max)
+            params = init_dsga_params(cfg)
+            check_params(params, cfg)
+            arrays = params.named_arrays()
+            assert sum(a.size for a in arrays.values()) + 3 == parameter_count(cfg, 1)
+            assert list(arrays) == [f.name for f in fields(params)][:-3]
+
+    @pytest.mark.parametrize("precision", ["sngle", "float32", "Single", None])
+    def test_unknown_precision_rejected(self, precision):
+        with pytest.raises(ValueError, match="precision must be 'single' or 'double'"):
+            init_dsga_params(DsgaConfig(embed_dim=8), precision=precision)

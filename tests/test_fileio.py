@@ -51,9 +51,10 @@ class TestTns:
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "t.tns"
-        path.write_bytes(b"not json\n\x00\x00\x00\x00")
-        with pytest.raises(FileFormatError, match="header"):
-            read_tns(path)
+        for header in (b"not json", b"[" * 100_000):  # the second nests past the recursion limit
+            path.write_bytes(header + b"\n\x00\x00\x00\x00")
+            with pytest.raises(FileFormatError, match="header"):
+                read_tns(path)
 
     # each header with the payload it would imply if read loosely: [2.7] as
     # [2] and [true, 2] as [1, 2] (two float32 zeros), and the huge shapes as

@@ -459,6 +459,11 @@ def bad_bundle_cases():
 
 
 class TestParamsBundle:
+    def test_bundle_names_map_onto_the_fields(self):
+        # one file per DsgaParams field, every field once
+        fields = sorted(pipeline._BUNDLE_NAMES.values())
+        assert fields == sorted(f.name for f in dataclasses.fields(pipeline.DsgaParams))
+
     def test_round_trip_preserves_dtypes(self, tmp_path):
         cfg = DsgaConfig(embed_dim=8, k_max=3, seed=5)
         params = init_dsga_params(cfg)
@@ -728,14 +733,17 @@ class TestCli:
                                 ["contribution 1", "a number"]),
         "contribution_a_string": ('{"contributions": [1.0, 2.0, "3"]}',
                                   ["contribution 2", "a number"]),
+        "not_utf8": (b'{"contributions": [1.0, 2.0, 3.0]} \xff\xfe', ["not UTF-8 text"]),
+        "nested_too_deeply": ("[" * 100_000, ["JSON nested too deeply"]),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_TRACE_LINES))
     def test_malformed_trace_line_exits_two(self, tmp_path, capsys, case):
         bad_line, words = self.MALFORMED_TRACE_LINES[case]
-        good = json.dumps({"contributions": [1.0, 2.0, 3.0]})
+        bad_line = bad_line if isinstance(bad_line, bytes) else bad_line.encode()
+        good = json.dumps({"contributions": [1.0, 2.0, 3.0]}).encode()
         trace = tmp_path / "trace.jsonl"
-        trace.write_text(f"{good}\n\n{bad_line}\n{good}\n")  # the blank line counts
+        trace.write_bytes(b"\n".join([good, b"", bad_line, good, b""]))  # the blank line counts
         capsys.readouterr()
         out = tmp_path / "traj.jsonl"
         assert main(["loss", "ema-sim", "--trace", str(trace), "--out", str(out)]) == 2
@@ -833,6 +841,21 @@ class TestCli:
         assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
         assert all(word in captured.err for word in words), captured.err
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\x89PNG\r\n\x1a\n\x00\xff\xfe", "not UTF-8 text"),
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+    ], ids=["binary", "nested_too_deeply"])
+    @pytest.mark.parametrize("flag", ["--config", "--manifest"])
+    def test_undecodable_json_input_exits_two(self, tmp_path, capsys, flag, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = {"--config": ["audit", "params", "--config", str(bad)],
+                "--manifest": ["instances", "dedup", "--manifest", str(bad)]}[flag]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"i/o error: {bad}: {message}\n"
 
     def test_audit_cli(self, tmp_path, capsys):
         assert main(["audit", "params"]) == 0
