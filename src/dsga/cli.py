@@ -3,8 +3,9 @@
 Subcommands: ``forward`` (adapter forward pass on TNS1 tensors), ``lora
 apply``, ``prompts generate``, ``instances dedup``, ``loss eval``, ``loss
 ema-sim``, ``metrics saliency``, ``metrics instances``, ``audit params``,
-``gradcheck``, ``demo``. Exit codes: 0 success, 1 validation error, 2 I/O
-error, 3 numerical failure.
+``gradcheck``, ``demo``. Commands return nothing: ``main`` alone maps their
+outcome to an exit code, 0 success, 1 validation error, 2 I/O error, 3
+numerical failure. ``lora apply`` takes the rank from A's row count.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------- commands
 
 
-def cmd_forward(args) -> int:
+def cmd_forward(args) -> None:
     x = fileio.read_tns(args.input)
     cfg_data = fileio.read_json(args.config)
     if not isinstance(cfg_data, dict):
@@ -57,22 +58,22 @@ def cmd_forward(args) -> int:
     fileio.write_tns(args.output, out)
     if args.emit_graph:
         fileio.write_json(args.emit_graph, graph.as_json_obj())
-    return EXIT_OK
 
 
-def cmd_lora_apply(args) -> int:
+def cmd_lora_apply(args) -> None:
     w0 = fileio.read_tns(args.base)
     a = fileio.read_tns(args.a)
     b = fileio.read_tns(args.b)
     x = fileio.read_tns(args.input)
-    layer = LoraLayer(w0=w0, a=a, b=b, rank=args.rank, alpha=args.alpha)
+    if a.ndim != 2:
+        raise ValidationError(f"A must be 2-D, got shape {a.shape}")
+    layer = LoraLayer(w0=w0, a=a, b=b, rank=a.shape[0], alpha=args.alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow exits 3 below
         h = lora_apply(layer, x)
     fileio.write_tns(args.output, check_finite(h, "lora output"))
-    return EXIT_OK
 
 
-def cmd_prompts_generate(args) -> int:
+def cmd_prompts_generate(args) -> None:
     mask = fileio.read_mask(args.mask)
     cfg = PromptConfig(
         grid_size=args.grid,
@@ -81,19 +82,17 @@ def cmd_prompts_generate(args) -> int:
         n_max=args.nmax,
     )
     fileio.write_prompts_jsonl(args.out, generate_prompts(mask, cfg))
-    return EXIT_OK
 
 
-def cmd_instances_dedup(args) -> int:
+def cmd_instances_dedup(args) -> None:
     candidates, manifest_entries = pipeline.load_candidates(args.manifest)
     kept = dedup_instances(candidates, tau_o=args.iou_threshold)
     by_id = {id(c): i for i, c in enumerate(candidates)}
     entries = [manifest_entries[by_id[id(inst)]] for inst in kept]
     fileio.write_json(args.out, {"count": len(entries), "instances": entries})
-    return EXIT_OK
 
 
-def cmd_loss_eval(args) -> int:
+def cmd_loss_eval(args) -> None:
     pred = fileio.read_saliency(args.pred)
     gt = fileio.read_mask(args.gt)
     lam = [float(v) for v in args.weights.split(",")]
@@ -107,29 +106,23 @@ def cmd_loss_eval(args) -> int:
     )
     total, parts = combined_loss(pred, gt, weights, hyper)
     fileio.write_json(args.out, {"total": total, **parts})
-    return EXIT_OK
 
 
 def _trace_contributions(path, lineno: int, line: bytes) -> list:
     """The ``contributions`` of one UTF-8 trace line, three numbers; a
     malformed line raises FileFormatError naming the file and the line."""
+    where = f"{path}: line {lineno}"
+    record = fileio.decode_json(line, where)
+    values = record.get("contributions") if isinstance(record, dict) else None
     try:
-        record = json.loads(line.decode("utf-8"))
-        values = record.get("contributions") if isinstance(record, dict) else None
         if not (isinstance(values, list) and len(values) == 3):
             raise ValidationError("expected an object with a 3-element 'contributions' list")
         return [_typed(f"contribution {i}", v, 0.0) for i, v in enumerate(values)]
-    except UnicodeDecodeError as exc:
-        raise fileio.FileFormatError(f"{path}: line {lineno}: not UTF-8 text") from exc
-    except json.JSONDecodeError as exc:
-        raise fileio.FileFormatError(f"{path}: line {lineno}: invalid JSON") from exc
-    except RecursionError as exc:
-        raise fileio.FileFormatError(f"{path}: line {lineno}: JSON nested too deeply") from exc
     except ValidationError as exc:
-        raise fileio.FileFormatError(f"{path}: line {lineno}: {exc}") from exc
+        raise fileio.FileFormatError(f"{where}: {exc}") from exc
 
 
-def cmd_loss_ema_sim(args) -> int:
+def cmd_loss_ema_sim(args) -> None:
     weights = LossWeights(ema_beta=args.beta)
     state = ContributionState()
     rows = []
@@ -153,7 +146,6 @@ def cmd_loss_ema_sim(args) -> int:
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    return EXIT_OK
 
 
 def _files_by_stem(directory: Path) -> dict:
@@ -175,7 +167,7 @@ def _pair_files(pred_dir: Path, gt_dir: Path):
     return [(stem, preds[stem], gts[stem]) for stem in common]
 
 
-def cmd_metrics_saliency(args) -> int:
+def cmd_metrics_saliency(args) -> None:
     images = {
         stem: evaluate_saliency(
             fileio.read_saliency(pred_path), fileio.read_mask(gt_path)
@@ -185,10 +177,9 @@ def cmd_metrics_saliency(args) -> int:
     rows = list(images.values())
     means = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}
     fileio.write_json(args.out, {"images": images, "dataset_mean": means, "count": len(rows)})
-    return EXIT_OK
 
 
-def cmd_metrics_instances(args) -> int:
+def cmd_metrics_instances(args) -> None:
     preds, _ = pipeline.load_candidates(args.pred_manifest)
     gt_manifest = Path(args.gt_manifest)
     gts = [
@@ -197,31 +188,27 @@ def cmd_metrics_instances(args) -> int:
     ]
     report = detection_report(DetectionSet(predictions=preds, ground_truths=gts))
     fileio.write_json(args.out, report)
-    return EXIT_OK
 
 
-def cmd_audit_params(args) -> int:
+def cmd_audit_params(args) -> None:
     if args.config:
         cfg = PipelineConfig.from_dict(fileio.read_json(args.config))
     else:
         cfg = PipelineConfig()
     report = pipeline.audit_params(cfg)
     fileio.write_json(args.out, report.as_dict())
-    return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args) -> None:
     results = pipeline.gradcheck_all(seed=args.seed, instances=args.instances)
     report = {"ops": [r.as_dict() for r in results], "pass": all(r.passed for r in results)}
     fileio.write_json(args.out, report)
     if not report["pass"]:
         raise NumericalError("gradient check failed; see report")
-    return EXIT_OK
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> None:
     fileio.write_json(None, pipeline.demo_synthetic(seed=args.seed, out_dir=args.out))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- wiring
@@ -233,6 +220,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
+
+
+def int64(text: str) -> int:
+    """The type of every integer flag: a config's int (see config._typed), so
+    a value past int64 is a usage error."""
+    return _typed(text, int(text), 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,11 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     lora = sub.add_parser("lora", help="low-rank update operations").add_subparsers(
         dest="subcommand", required=True
     )
-    p = lora.add_parser("apply", help="h = x W0^T + (alpha/r) x A^T B^T")
+    p = lora.add_parser("apply", help="h = x W0^T + (alpha/r) x A^T B^T, r = rows of A")
     p.add_argument("--base", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--rank", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
@@ -269,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = prompts.add_parser("generate", help="grid-saliency prompts from a mask")
     p.add_argument("--mask", required=True)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=int64, default=64)
     p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--nmin", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=1024)
+    p.add_argument("--nmin", type=int64, default=1)
+    p.add_argument("--nmax", type=int64, default=1024)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_prompts_generate)
 
@@ -327,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit_params)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every vjp")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=10)
+    p.add_argument("--seed", type=int64, default=0)
+    p.add_argument("--instances", type=int64, default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("demo", help="seeded synthetic end-to-end run")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int64, default=7)
     p.add_argument("--out", default="demo_artifacts")
     p.set_defaults(func=cmd_demo)
 
@@ -350,7 +342,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -360,6 +352,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ are the main reproducibility hazard this guards against.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from .adapter import DsgaConfig
@@ -64,14 +64,16 @@ class PipelineConfig:
 
 def _typed(name: str, value, default):
     """Return ``value`` if its JSON type matches the default's: an int (not a
-    bool) for an int, a finite int or float for a float, a string for a
-    string, a list of strings (as a tuple) for a tuple. Other defaults are
-    checked by their dataclass."""
+    bool) within int64 for an int, an int or float of finite float value for
+    a float, a string for a string, a list of strings (as a tuple) for a
+    tuple. Other defaults are checked by their dataclass."""
     if isinstance(default, int):
-        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an int"
+        ok = isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
+        kind = "an int within int64"
     elif isinstance(default, float):
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok, kind = number and math.isfinite(value), "finite" if number else "a number"
+        # compared exactly, so an int past the float range fails without an OverflowError
+        ok, kind = number and abs(value) <= sys.float_info.max, "finite" if number else "a number"
     elif isinstance(default, str):
         ok, kind = isinstance(value, str), "a string"
     elif isinstance(default, tuple):

@@ -4,6 +4,9 @@ TNS1 tensors: one JSON header line ``{"shape":[...],"dtype":"f32"|"f64"}``
 terminated by a newline, followed immediately by raw little-endian scalars
 in row-major order.
 
+JSON inputs (configs, manifests, trace lines, TNS1 headers) are UTF-8 text,
+decoded by ``decode_json``.
+
 Masks: binary PGM (P5, maxval 255, foreground = 255) or plain-text PBM (P1,
 1 = foreground). Saliency maps: 8-bit PGM read as value/255, or TNS1.
 
@@ -34,6 +37,7 @@ __all__ = [
     "read_saliency",
     "write_saliency_pgm",
     "write_json",
+    "decode_json",
     "read_json",
     "write_prompts_jsonl",
 ]
@@ -62,10 +66,7 @@ def write_tns(path, arr: np.ndarray) -> None:
 
 def read_tns(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("ascii"))
-        except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError is a ValueError
-            raise FileFormatError(f"{path}: bad TNS1 header") from exc
+        header = decode_json(fh.readline(), f"{path}: TNS1 header")
         if not isinstance(header, dict):
             raise FileFormatError(f"{path}: TNS1 header is not a JSON object")
         shape, code = header.get("shape"), header.get("dtype")
@@ -199,16 +200,22 @@ def write_json(path, obj) -> None:
         sys.stdout.write(text)
 
 
-def read_json(path):
-    """The JSON value in the UTF-8 file ``path``; other bytes raise FileFormatError."""
+def decode_json(data: bytes, where):
+    """The JSON value in the UTF-8 bytes ``data``; other bytes, or JSON nested
+    too deeply, raise FileFormatError naming ``where`` and the failure."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: not UTF-8 text") from exc
+        raise FileFormatError(f"{where}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON") from exc
+        raise FileFormatError(f"{where}: invalid JSON") from exc
     except RecursionError as exc:
-        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
+        raise FileFormatError(f"{where}: JSON nested too deeply") from exc
+
+
+def read_json(path):
+    """The JSON value in the UTF-8 file ``path`` (see decode_json)."""
+    return decode_json(Path(path).read_bytes(), path)
 
 
 def write_prompts_jsonl(path, prompts) -> None:

@@ -1,6 +1,7 @@
 """Saliency and instance-level evaluation: precision/recall, F-measure,
 structure measure, enhanced-alignment measure, MAE, threshold sweeps, and
-AP at the 0.5-IoU operating point with greedy matching.
+AP at the 0.5-IoU operating point with greedy matching. ``detection_report``
+holds that match and every score derived from it; ``ap50`` reads two of them.
 
 S comes from per-cell moments: the centroid split gives four quadrants, each
 cut into a foreground and a background cell whose count, mean and centred M2
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import numerics
-from .prompts import ScoredInstance, pairwise_iou
+from .prompts import ScoredInstance, _score_order, pairwise_iou
 from .prompts import mask_iou  # noqa: F401  (wrapped by perfbench/tracer.py; unused here)
 
 __all__ = [
@@ -305,10 +306,9 @@ def _greedy_match(scores, iou: np.ndarray):
     highest IoU (lowest index on ties) if that IoU reaches ``_IOU_FLOOR``.
     Returns per-prediction hit flags (aligned with the ranking) and matched
     IoUs."""
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     free = np.ones(iou.shape[1], dtype=bool)
     hits, matched_ious = [], []
-    for idx in order:
+    for idx in _score_order(scores):
         row = np.where(free, iou[idx], -1.0)
         j = int(np.argmax(row)) if row.size else -1
         if j >= 0 and row[j] >= _IOU_FLOOR:
@@ -320,51 +320,35 @@ def _greedy_match(scores, iou: np.ndarray):
     return hits, matched_ious
 
 
-def _match(dets: DetectionSet):
-    """Greedy 0.5-IoU matching of ``dets`` plus the scores derived from it:
-    (hits, matched IoUs, all-point AP, mean matched IoU or 0)."""
+def detection_report(dets: DetectionSet) -> dict:
+    """Precision, recall and F1 at the greedy 0.5-IoU match, its all-point
+    AP (AP50), and the mean IoU over matched pairs only (0 when nothing
+    matched)."""
+    n_gt, n_pred = len(dets.ground_truths), len(dets.predictions)
+    if not n_gt:
+        raise ValueError("detection metrics require at least one ground-truth mask")
     iou = pairwise_iou([p.mask for p in dets.predictions], dets.ground_truths)
     hits, matched_ious = _greedy_match([p.score for p in dets.predictions], iou)
-    n_gt = len(dets.ground_truths)
-    ap = 0.0
-    tp = 0
-    prev_recall = 0.0
+    ap, tp, prev_recall = 0.0, 0, 0.0
     for n, hit in enumerate(hits, start=1):
         tp += int(hit)
-        precision = tp / n
         recall = tp / n_gt
-        ap += (recall - prev_recall) * precision
+        ap += (recall - prev_recall) * (tp / n)
         prev_recall = recall
-    mean_iou = float(np.mean(matched_ious)) if matched_ious else 0.0
-    return hits, matched_ious, float(ap), mean_iou
-
-
-def ap50(dets: DetectionSet) -> tuple[float, float]:
-    """All-point average precision at IoU >= 0.5 plus the mean IoU over
-    matched pairs only (0 when nothing matched)."""
-    if not dets.ground_truths:
-        raise ValueError("ap50 requires at least one ground-truth mask")
-    _, _, ap, mean_iou = _match(dets)
-    return ap, mean_iou
-
-
-def detection_report(dets: DetectionSet) -> dict:
-    """Precision, recall, F1 (at the 0.5-IoU match), AP50, matched mean IoU."""
-    if not dets.ground_truths:
-        raise ValueError("detection_report requires at least one ground-truth mask")
-    hits, matched_ious, ap, mean_iou = _match(dets)
-    tp = sum(hits)
-    n_pred = len(dets.predictions)
-    precision = tp / n_pred if n_pred else 0.0
-    recall = tp / len(dets.ground_truths)
-    f1 = f_beta(precision, recall, beta_sq=1.0)
+    precision, recall = (tp / n_pred if n_pred else 0.0), tp / n_gt
     return {
         "precision": precision,
         "recall": recall,
-        "f1": f1,
+        "f1": f_beta(precision, recall, beta_sq=1.0),
         "ap50": ap,
-        "matched_iou_mean": mean_iou,
+        "matched_iou_mean": float(np.mean(matched_ious)) if matched_ious else 0.0,
         "matched_count": len(matched_ious),
         "num_predictions": n_pred,
-        "num_ground_truths": len(dets.ground_truths),
+        "num_ground_truths": n_gt,
     }
+
+
+def ap50(dets: DetectionSet) -> tuple[float, float]:
+    """The ``ap50`` and ``matched_iou_mean`` of ``detection_report(dets)``."""
+    report = detection_report(dets)
+    return report["ap50"], report["matched_iou_mean"]

@@ -193,6 +193,12 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(pairwise_iou([a], [b])[0, 0])
 
 
+def _score_order(scores) -> list[int]:
+    """Indices of ``scores`` by descending score, ties in first-seen order
+    (the sort is stable): the ranking of dedup and of detection matching."""
+    return sorted(range(len(scores)), key=lambda i: -scores[i])
+
+
 def dedup_instances(
     candidates: list[ScoredInstance], tau_o: float = 0.75
 ) -> list[ScoredInstance]:
@@ -201,14 +207,11 @@ def dedup_instances(
     tau_o. Output preserves acceptance order."""
     if not 0.0 < tau_o <= 1.0:
         raise ValueError(f"tau_o must be in (0, 1], got {tau_o}")
-    ranked = sorted(
-        range(len(candidates)), key=lambda idx: (-candidates[idx].score, idx)
-    )
     masks = [c.mask for c in candidates]
     iou = pairwise_iou(masks, masks)
     suppressed = np.zeros(len(candidates), dtype=bool)
     kept: list[ScoredInstance] = []
-    for idx in ranked:
+    for idx in _score_order([c.score for c in candidates]):
         if not suppressed[idx]:
             kept.append(candidates[idx])
             suppressed |= iou[idx] > tau_o

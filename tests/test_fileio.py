@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,8 +54,27 @@ class TestTns:
         path = tmp_path / "t.tns"
         for header in (b"not json", b"[" * 100_000):  # the second nests past the recursion limit
             path.write_bytes(header + b"\n\x00\x00\x00\x00")
-            with pytest.raises(FileFormatError, match="header"):
+            # anchored: the temporary directory's name holds "header" too
+            with pytest.raises(FileFormatError, match="^" + re.escape(f"{path}: TNS1 header: ")):
                 read_tns(path)
+
+    @pytest.mark.parametrize("header, message", [
+        (b'{"shape": [1], "dtype": "f32"}\xff', "not UTF-8 text"),
+        (b'{"shape": [1], "dtype": "f32"', "invalid JSON"),
+        (b"[" * 100_000, "JSON nested too deeply"),
+    ], ids=["not_utf8", "invalid_json", "nested_too_deeply"])
+    def test_undecodable_header_names_its_failure(self, tmp_path, header, message):
+        path = tmp_path / "t.tns"
+        path.write_bytes(header + b"\n\x00\x00\x00\x00")
+        with pytest.raises(FileFormatError) as info:
+            read_tns(path)
+        assert str(info.value) == f"{path}: TNS1 header: {message}"
+
+    def test_utf8_header_accepted(self, tmp_path):
+        # the header is UTF-8 JSON like every other JSON input
+        path = tmp_path / "t.tns"
+        path.write_bytes('{"shape": [1], "dtype": "f32", "note": "\u00e9"}\n'.encode() + bytes(4))
+        assert read_tns(path).tolist() == [0.0]
 
     # each header with the payload it would imply if read loosely: [2.7] as
     # [2] and [true, 2] as [1, 2] (two float32 zeros), and the huge shapes as

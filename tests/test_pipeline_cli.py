@@ -241,6 +241,44 @@ class TestNonFiniteValues:
         assert capsys.readouterr().err.startswith("validation error: loss weights must be finite")
 
 
+class TestHugeIntegers:
+    """An integer past int64 (for a float field, past the float range) exits
+    1 with one line, not a traceback; int64's largest value still runs."""
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("dsga", "embed_dim", 10**400), ("backbone", "layers", 10**320),
+        ("dsga", "reduction_ratio", 10**400), ("backbone", "params_frozen", 2**63),
+    ], ids=["embed_dim=10**400", "layers=10**320", "reduction_ratio=10**400",
+            "params_frozen=2**63"])
+    def test_config_value_exits_one(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        capsys.readouterr()
+        assert main(["audit", "params", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"validation error: {section}.{key} must be ")
+
+    def test_largest_int64_config_value_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"backbone": {"layers": 2**63 - 1}}))
+        capsys.readouterr()
+        assert main(["audit", "params", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["dsga_params"] % (2**63 - 1) == 0
+
+    @pytest.mark.parametrize("value, code", [(2**63, 1), (2**63 - 1, 0)])
+    def test_grid_flag(self, tmp_path, capsys, value, code):
+        mask_path, _, _ = three_blob_fixture(tmp_path)
+        capsys.readouterr()
+        assert main(["prompts", "generate", "--mask", str(mask_path), "--grid", str(value),
+                     "--out", str(tmp_path / "p.jsonl")]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                f"validation error: argument --grid: invalid int64 value: '{value}'\n"
+            )
+            assert not (tmp_path / "p.jsonl").exists()
+
+
 def float_flag_command(tmp_path, flag):
     """A valid command line, without ``flag``, for the subcommand that takes it."""
     if flag in ("--threshold", "--iou-threshold"):
@@ -255,7 +293,7 @@ def float_flag_command(tmp_path, flag):
     if flag == "--alpha":
         TestLoraApplyFinite.write_inputs(tmp_path)
         return ["lora", "apply", "--base", str(tmp_path / "w0.tns"), "--a", str(tmp_path / "a.tns"),
-                "--b", str(tmp_path / "b.tns"), "--rank", "2", "--input", str(tmp_path / "x.tns"),
+                "--b", str(tmp_path / "b.tns"), "--input", str(tmp_path / "x.tns"),
                 "--output", str(tmp_path / "h.tns")]
     gt = np.zeros((8, 8), bool)
     gt[2:6, 2:6] = True
@@ -321,7 +359,7 @@ class TestLoraApplyFinite:
         return main([
             "lora", "apply", "--base", str(tmp_path / "w0.tns"),
             "--a", str(tmp_path / "a.tns"), "--b", str(tmp_path / "b.tns"),
-            "--rank", "2", f"--alpha={alpha}", "--input", str(tmp_path / "x.tns"),
+            f"--alpha={alpha}", "--input", str(tmp_path / "x.tns"),
             "--output", str(tmp_path / "h.tns"),
         ])
 
@@ -342,6 +380,17 @@ class TestLoraApplyFinite:
         err = capsys.readouterr().err
         assert err == "numerical failure: lora output contains non-finite values\n"
         assert not (tmp_path / "h.tns").exists()
+
+    @pytest.mark.parametrize("shape", [(6,), ()], ids=["1-d", "0-d"])
+    def test_a_not_two_d_exits_one(self, tmp_path, capsys, shape):
+        # the rank is A's row count, so A must have rows
+        self.write_inputs(tmp_path)
+        fileio.write_tns(tmp_path / "a.tns", np.ones(shape))
+        capsys.readouterr()
+        assert self.run(tmp_path, "2") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "h.tns").exists()
+        assert captured.err == f"validation error: A must be 2-D, got shape {shape}\n"
 
     @pytest.mark.parametrize("header", ['{"shape": 5, "dtype": "f32"}', "[1, 2]",
                                         '{"shape": [4294967296, 4294967296], "dtype": "f32"}'])
@@ -642,7 +691,7 @@ class TestCli:
         code = main([
             "lora", "apply", "--base", str(tmp_path / "w0.tns"),
             "--a", str(tmp_path / "a.tns"), "--b", str(tmp_path / "b.tns"),
-            "--rank", "2", "--alpha", "2", "--input", str(tmp_path / "x.tns"),
+            "--alpha", "2", "--input", str(tmp_path / "x.tns"),
             "--output", str(tmp_path / "h.tns"),
         ])
         assert code == 0
@@ -734,6 +783,8 @@ class TestCli:
         "contribution_a_string": ('{"contributions": [1.0, 2.0, "3"]}',
                                   ["contribution 2", "a number"]),
         "not_utf8": (b'{"contributions": [1.0, 2.0, 3.0]} \xff\xfe', ["not UTF-8 text"]),
+        "contribution_past_float_range": ('{"contributions": [1.0, %d, 3.0]}' % 10**400,
+                                          ["contribution 1", "finite"]),
         "nested_too_deeply": ("[" * 100_000, ["JSON nested too deeply"]),
     }
 
@@ -819,6 +870,11 @@ class TestCli:
         "prompt_index_a_float": ("dedup", {"instances": [
             {"mask": "cand_0.pgm", "score": 0.5, "prompt_index": 1.0}]},
             ["'prompt_index'", "an int"]),
+        "score_past_float_range": ("dedup", {"instances": [
+            {"mask": "cand_0.pgm", "score": 10**400}]}, ["'score'", "finite"]),
+        "prompt_index_past_int64": ("dedup", {"instances": [
+            {"mask": "cand_0.pgm", "score": 0.5, "prompt_index": 2**63}]},
+            ["'prompt_index'", "within int64"]),
         "gt_entry_not_an_object": ("gt", {"instances": [7]}, ["instance 0", "an object"]),
         "gt_mask_not_a_string": ("gt", {"instances": [{"mask": None}]}, ["'mask'", "a string"]),
     }
