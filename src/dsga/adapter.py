@@ -30,16 +30,9 @@ lowest index: a stable sort of the row.
 One private runner computes the forward and returns, beside the output and
 the graph, its pullback: a closure over the forward's intermediates that
 maps a cotangent on the output to the cotangents of x and every parameter.
-dsga_forward holds the pullback for the calling thread while its output
-lives (a weakref finalizer on the output drops it), so a training step's
-dsga_vjp on the same input applies it instead of rerunning the forward. The
-VJP reuses it only when its key matches bit for bit: the down-projection,
-which it recomputes, copies of the other parameter arrays, the gates, the
-config and the input shape; the pullback reads x and the parameters from
-the VJP's own arguments. Anything else reruns the forward, so the result
-is the same bytes either way. One forward is held per thread, and the next
-dsga_forward or dsga_vjp on that thread drops it first; dsga_vjp uses it
-at most once.
+dsga_forward holds the pullback for the calling thread, with the key of its
+reuse, as the arguments of a weakref finalizer on its output; dsga_vjp
+states when it applies the pullback instead of rerunning the forward.
 
 Precision: every stage from the down-projection to the up-projection (Z, S,
 propagation, fusion, both pools, the gated residual, dropout) runs in the
@@ -64,7 +57,6 @@ import numbers
 import threading
 import weakref
 from dataclasses import astuple, dataclass, fields, replace
-from typing import Callable
 
 import numpy as np
 from numpy import matmul  # bound here so a tracer can wrap adapter.matmul
@@ -752,30 +744,12 @@ def _run(x: np.ndarray, params: DsgaParams, cfg: DsgaConfig, pre: np.ndarray):
     return out, graph, pullback
 
 
-class _ThreadHeld(threading.local):
-    """The calling thread's last dsga_forward, kept for dsga_vjp while that
-    forward's output lives: [] or [_Held]. A list, so that the finalizer of
-    the output, which can run on any thread, empties this thread's entry."""
-
-    def __init__(self):
-        self.held = []
-
-
-_thread = _ThreadHeld()
+# .held: the finalizer on the output of the calling thread's last dsga_forward;
+# its arguments, (pullback, pre, scalars, arrays), live as long as that output
+_thread = threading.local()
 # the parameter arrays the reuse key holds copies of (down_w and down_b enter
 # it through pre)
 _KEY_ARRAYS = ("up_w", "up_b", "fusion_w", "rank_logits")
-
-
-@dataclass
-class _Held:
-    """A forward's pullback and the key its reuse is checked against."""
-
-    pullback: Callable
-    pre: np.ndarray
-    scalars: tuple  # from _key_scalars
-    arrays: dict  # copies of the _KEY_ARRAYS
-    finalizer: weakref.finalize
 
 
 def _key_scalars(x: np.ndarray, params: DsgaParams, cfg: DsgaConfig) -> tuple:
@@ -785,14 +759,19 @@ def _key_scalars(x: np.ndarray, params: DsgaParams, cfg: DsgaConfig) -> tuple:
 
 
 def _take_held():
-    """Remove the calling thread's held forward and return it (None if
-    there is none); its output's finalizer no longer touches the slot."""
-    try:
-        held = _thread.held.pop()
-    except IndexError:  # none held, or its output has just been dropped
-        return None
-    held.finalizer.detach()
-    return held
+    """Empty the calling thread's slot and return the arguments of the
+    finalizer it held, or None when there is none or its output is gone."""
+    finalizer, _thread.held = getattr(_thread, "held", None), None
+    detached = finalizer.detach() if finalizer else None  # (out, func, args, kwargs)
+    return detached and detached[2]
+
+
+def _key_matches(held, pre, x, params: DsgaParams, cfg: DsgaConfig) -> bool:
+    """Whether the held forward's key equals this call's, bit for bit."""
+    _, held_pre, scalars, arrays = held
+    return (scalars == _key_scalars(x, params, cfg)
+            and all(same_bits(getattr(params, k), v) for k, v in zip(_KEY_ARRAYS, arrays))
+            and same_bits(pre, held_pre))
 
 
 def dsga_forward(x, params: DsgaParams, cfg: DsgaConfig):
@@ -800,18 +779,16 @@ def dsga_forward(x, params: DsgaParams, cfg: DsgaConfig):
 
     Output shape equals input shape; with a zero up-projection the map is
     the identity bit-for-bit in eval mode. The forward's pullback is held
-    for dsga_vjp on this thread until the output is dropped, the thread
-    calls dsga_forward or dsga_vjp again, or dsga_vjp uses it; the graph
-    returned is the caller's own copy.
+    for this thread's dsga_vjp while the output lives (see dsga_vjp); the
+    graph returned is the caller's own copy.
     """
     _take_held()  # the last forward's state is freed before this one's is made
     x = _checked(x, params, cfg)
     pre = _down(x, params)
     out, graph, pullback = _run(x, params, cfg, pre)
-    held = _thread.held
-    arrays = {name: getattr(params, name).copy() for name in _KEY_ARRAYS}
-    finalizer = weakref.finalize(out, held.clear)
-    held.append(_Held(pullback, pre, _key_scalars(x, params, cfg), arrays, finalizer))
+    arrays = tuple(getattr(params, name).copy() for name in _KEY_ARRAYS)
+    _thread.held = weakref.finalize(out, lambda *held: None,
+                                    pullback, pre, _key_scalars(x, params, cfg), arrays)
     return out, replace(graph, neighbors=graph.neighbors.copy(),
                         edge_weights=graph.edge_weights.copy(),
                         self_weights=graph.self_weights.copy())
@@ -831,24 +808,24 @@ def dsga_vjp(x, params: DsgaParams, cfg: DsgaConfig, upstream):
     upstream when that forward's output is still alive and the key matches
     bit for bit: the down-projection, recomputed here from x, down_w and
     down_b; up_w, up_b, fusion_w and rank_logits against copies taken at the
-    forward; the gates, every config field and x's shape by value. The held
-    forward is used once. Otherwise the forward is rerun on x; in train mode
-    the rerun draws the same dropout mask (a pure function of size,
-    probability and seed). Either way the result is the same bytes. theta_k
-    sits behind the floor in adaptive_k and therefore gets zero gradient;
-    graph structure is held fixed (top-k membership does not differentiate).
+    forward; the gates, every config field and x's shape by value. The
+    pullback reads x and the parameters from this call's arguments. The held
+    forward is dropped when its output dies (on any thread) or at this
+    thread's next dsga_forward or dsga_vjp, so it is used at most once.
+    Otherwise the forward is rerun on x; in train mode the rerun draws the
+    same dropout mask (a pure function of size, probability and seed).
+    Either way the result is the same bytes. theta_k sits behind the floor
+    in adaptive_k and therefore gets zero gradient; graph structure is held
+    fixed (top-k membership does not differentiate).
     """
     held = _take_held()
     x = _checked(x, params, cfg)
     dt = np.result_type(x, params.down_w, params.down_b)
     upstream = as_cotangent(upstream, x.shape, dt)
     pre = _down(x, params)
-    if (held is not None and held.scalars == _key_scalars(x, params, cfg)
-            and all(same_bits(getattr(params, k), v) for k, v in held.arrays.items())
-            and same_bits(pre, held.pre)):
-        pullback = held.pullback
-    else:
-        held = None  # freed before the rerun allocates
+    pullback = held[0] if held and _key_matches(held, pre, x, params, cfg) else None
+    held = None  # freed before a rerun allocates
+    if pullback is None:
         pullback = _run(x, params, cfg, pre)[2]
     return pullback(upstream, x, params)
 

@@ -167,13 +167,19 @@ def _pair_files(pred_dir: Path, gt_dir: Path):
     return [(stem, preds[stem], gts[stem]) for stem in common]
 
 
+def _saliency_row(stem: str, pred_path: Path, gt_path: Path) -> dict:
+    """The saliency report of one pair; a pair that does not fit raises
+    ValueError naming its stem."""
+    sal, gt = fileio.read_saliency(pred_path), fileio.read_mask(gt_path)
+    try:
+        return evaluate_saliency(sal, gt).as_dict()
+    except ValueError as exc:
+        raise ValueError(f"{stem}: {exc}") from exc
+
+
 def cmd_metrics_saliency(args) -> None:
-    images = {
-        stem: evaluate_saliency(
-            fileio.read_saliency(pred_path), fileio.read_mask(gt_path)
-        ).as_dict()
-        for stem, pred_path, gt_path in _pair_files(Path(args.pred_dir), Path(args.gt_dir))
-    }
+    pairs = _pair_files(Path(args.pred_dir), Path(args.gt_dir))
+    images = {stem: _saliency_row(stem, pred, gt) for stem, pred, gt in pairs}
     rows = list(images.values())
     means = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}
     fileio.write_json(args.out, {"images": images, "dataset_mean": means, "count": len(rows)})

@@ -201,14 +201,17 @@ def write_json(path, obj) -> None:
 
 
 def decode_json(data: bytes, where):
-    """The JSON value in the UTF-8 bytes ``data``; other bytes, or JSON nested
-    too deeply, raise FileFormatError naming ``where`` and the failure."""
+    """The JSON value in the UTF-8 bytes ``data``; other bytes, JSON nested
+    too deeply, or an integer past Python's int string limit (4300 digits by
+    default) raise FileFormatError naming ``where`` and the failure."""
     try:
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{where}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{where}: invalid JSON") from exc
+    except ValueError as exc:  # the one other ValueError: int() refusing the digits
+        raise FileFormatError(f"{where}: integer literal too long") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{where}: JSON nested too deeply") from exc
 

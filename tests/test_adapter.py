@@ -1626,6 +1626,15 @@ def reuse_case(seed=81):
     return x, params, cfg, rng.standard_normal(x.shape)
 
 
+def large_reuse_case(seed=83):
+    """An eval-mode float32 case at 32x32x768, where the held forward is
+    megabytes."""
+    cfg = DsgaConfig(embed_dim=768, k_max=8, dropout_prob=0.0, mode="eval", seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((1, 32, 32, 768)).astype(np.float32)
+    return x, init_dsga_params(cfg), cfg, rng.standard_normal(x.shape).astype(np.float32)
+
+
 GRAPH_ARRAYS = ("neighbors", "edge_weights", "self_weights")
 CONFIG_CHANGES = {"embed_dim": 12, "reduction_ratio": 0.5, "k_max": 3, "dropout_prob": 0.4,
                   "mode": "eval", "seed": 82}
@@ -1769,6 +1778,43 @@ class TestForwardReuse:
         # the output (3 MB) and the intermediates its pullback reads (7 MB)
         assert held > 2 * x.nbytes, held
         assert after < 16e3, after
+
+    def test_dropping_the_output_on_another_thread_frees_the_held_forward(self, monkeypatch):
+        x, params, cfg, upstream = large_reuse_case()
+        lone = vjp_outcome(x, params, cfg, upstream)  # first-call allocations happen untraced
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            outs = [dsga_forward(x, params, cfg)[0]]
+            held = tracemalloc.get_traced_memory()[0] - base
+            dropper = threading.Thread(target=outs.clear)  # the last reference dies there
+            dropper.start()
+            dropper.join(timeout=30)
+            after = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert not dropper.is_alive() and outs == []
+        assert held > 2 * x.nbytes, held
+        assert after < 16e3, after
+        calls = count_selections(monkeypatch)
+        assert vjp_outcome(x, params, cfg, upstream) == lone
+        assert calls  # nothing was held: the forward ran again
+
+    def test_key_miss_frees_the_held_forward_before_the_rerun(self):
+        x, params, cfg, upstream = large_reuse_case()
+        other = replace(params, w_n_raw=0.5)
+        dsga_vjp(x, other, cfg, upstream)  # first-call allocations happen untraced
+        tracemalloc.start()
+        try:
+            out = dsga_forward(x, params, cfg)[0]  # alive through the VJP, as in a step
+            dsga_vjp(x, other, cfg, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ~22 MB with out alive; holding the forward's intermediates and key
+        # through the rerun would add ~7 MB
+        assert peak < 25e6, peak
+        assert out.shape == x.shape
 
 
 def use_oracle_kernels(m):

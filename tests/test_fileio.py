@@ -62,13 +62,20 @@ class TestTns:
         (b'{"shape": [1], "dtype": "f32"}\xff', "not UTF-8 text"),
         (b'{"shape": [1], "dtype": "f32"', "invalid JSON"),
         (b"[" * 100_000, "JSON nested too deeply"),
-    ], ids=["not_utf8", "invalid_json", "nested_too_deeply"])
+        (b'{"shape": [' + b"1" * 5001 + b'], "dtype": "f32"}', "integer literal too long"),
+    ], ids=["not_utf8", "invalid_json", "nested_too_deeply", "integer_literal_too_long"])
     def test_undecodable_header_names_its_failure(self, tmp_path, header, message):
         path = tmp_path / "t.tns"
         path.write_bytes(header + b"\n\x00\x00\x00\x00")
         with pytest.raises(FileFormatError) as info:
             read_tns(path)
         assert str(info.value) == f"{path}: TNS1 header: {message}"
+
+    def test_longest_decodable_integer(self):
+        # int()'s default limit is 4300 digits: one more raises FileFormatError
+        assert fileio.decode_json(b"9" * 4300, "x") == 10**4300 - 1
+        with pytest.raises(FileFormatError, match="^x: integer literal too long$"):
+            fileio.decode_json(b"9" * 4301, "x")
 
     def test_utf8_header_accepted(self, tmp_path):
         # the header is UTF-8 JSON like every other JSON input

@@ -248,8 +248,10 @@ class TestHugeIntegers:
     @pytest.mark.parametrize("section, key, value", [
         ("dsga", "embed_dim", 10**400), ("backbone", "layers", 10**320),
         ("dsga", "reduction_ratio", 10**400), ("backbone", "params_frozen", 2**63),
+        # 4300 digits, the most that JSON decoding turns into an int
+        ("dsga", "k_max", 10**4300 - 1), ("dsga", "dropout_prob", 10**4300 - 1),
     ], ids=["embed_dim=10**400", "layers=10**320", "reduction_ratio=10**400",
-            "params_frozen=2**63"])
+            "params_frozen=2**63", "k_max=4300_digits", "dropout_prob=4300_digits"])
     def test_config_value_exits_one(self, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({section: {key: value}}))
@@ -786,6 +788,8 @@ class TestCli:
         "contribution_past_float_range": ('{"contributions": [1.0, %d, 3.0]}' % 10**400,
                                           ["contribution 1", "finite"]),
         "nested_too_deeply": ("[" * 100_000, ["JSON nested too deeply"]),
+        "integer_literal_too_long": ('{"contributions": [1.0, %s, 3.0]}' % ("9" * 5001),
+                                     ["integer literal too long"]),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_TRACE_LINES))
@@ -823,6 +827,31 @@ class TestCli:
         assert report["dataset_mean"]["mae"] == 0.0
         assert report["dataset_mean"]["f_max"] == 1.0
         assert set(report["images"]) == {"img1", "img2"}
+
+    @pytest.mark.parametrize("bad, message", [
+        ("out_of_range", "b: saliency values must lie in [0, 1]"),
+        ("transposed_gt", "b: dimension mismatch: (4, 5) vs (5, 4)"),
+    ], ids=["out_of_range", "transposed_gt"])
+    def test_metrics_saliency_names_the_failing_pair(self, tmp_path, capsys, bad, message):
+        gt = np.zeros((4, 5), bool)
+        gt[1:3, 1:4] = True
+        for d in ("preds", "gts"):
+            (tmp_path / d).mkdir()
+        for stem in ("a", "b", "c"):
+            fileio.write_tns(tmp_path / "preds" / f"{stem}.tns", gt.astype(np.float32))
+            fileio.write_mask_pgm(tmp_path / "gts" / f"{stem}.pgm", gt)
+        if bad == "out_of_range":
+            fileio.write_tns(tmp_path / "preds" / "b.tns", np.full((4, 5), 1.5, np.float32))
+        else:
+            fileio.write_mask_pgm(tmp_path / "gts" / "b.pgm", gt.T)
+        capsys.readouterr()
+        code = main([
+            "metrics", "saliency", "--pred-dir", str(tmp_path / "preds"),
+            "--gt-dir", str(tmp_path / "gts"), "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("side", ["preds", "gts"])
     def test_metrics_saliency_rejects_duplicate_stems(self, tmp_path, capsys, side):
@@ -898,10 +927,24 @@ class TestCli:
         assert all(word in captured.err for word in words), captured.err
         assert not (tmp_path / "out.json").exists()
 
+    def test_over_long_integer_in_a_gt_manifest_exits_two(self, tmp_path, capsys):
+        # its bytes are written here: json.dumps, which writes the
+        # MALFORMED_MANIFESTS, refuses an int of over 4300 digits too
+        _, good, _ = three_blob_fixture(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"instances": [{"mask": "cand_0.pgm", "score": %s}]}' % ("9" * 5001))
+        capsys.readouterr()
+        assert main(["metrics", "instances", "--pred-manifest", str(good), "--gt-manifest",
+                     str(bad), "--out", str(tmp_path / "out.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"i/o error: {bad}: integer literal too long\n"
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("content, message", [
         (b"\x89PNG\r\n\x1a\n\x00\xff\xfe", "not UTF-8 text"),
         (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
-    ], ids=["binary", "nested_too_deeply"])
+        (b"[" + b"9" * 5001 + b"]", "integer literal too long"),
+    ], ids=["binary", "nested_too_deeply", "integer_literal_too_long"])
     @pytest.mark.parametrize("flag", ["--config", "--manifest"])
     def test_undecodable_json_input_exits_two(self, tmp_path, capsys, flag, content, message):
         bad = tmp_path / "bad.json"
